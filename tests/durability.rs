@@ -25,7 +25,7 @@
 use heat_solver::SolverConfig;
 use melissa::{
     CompletionJournal, CorruptKind, DurabilityConfig, DurabilityError, DurableCheckpointStore,
-    DurableIdentity, ExperimentConfig, OnlineExperiment, WorkloadSpec,
+    DurableIdentity, ExperimentConfig, OnlineExperiment, ServerCheckpoint, WorkloadSpec,
 };
 use melissa_ensemble::CampaignPlan;
 use melissa_transport::Checksum64;
@@ -34,6 +34,7 @@ use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
+use surrogate_nn::Mlp;
 use training_buffer::{BufferConfig, BufferKind};
 
 const CLIENTS: usize = 8;
@@ -469,6 +470,129 @@ fn foreign_experiment_checkpoints_are_rejected_by_identity() {
         .rejected
         .iter()
         .all(|e| matches!(e, DurabilityError::IdentityMismatch { .. })));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Version-1 directories still resume
+// ---------------------------------------------------------------------------
+
+/// A durability directory written at format version 1: one checkpoint
+/// (epoch 0, [`v1_fixture_checkpoint`]) and a journal recording
+/// [`V1_JOURNALED`], both for [`v1_fixture_config`].
+const V1_FIXTURE_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/durable_v1");
+const V1_CLIENTS: usize = 8;
+const V1_STEPS: usize = 5;
+/// Simulations the fixture journal records as completed after its
+/// checkpoint was taken.
+const V1_JOURNALED: [u64; 2] = [3, 4];
+
+/// The experiment the version-1 fixture belongs to. Its identity (seed and
+/// configuration fingerprint) is stamped into the fixture headers, so any
+/// knob that feeds `config_fingerprint` must stay as it is here.
+fn v1_fixture_config() -> ExperimentConfig {
+    ExperimentConfig::builder()
+        .workload(WorkloadSpec::heat_analytic(SolverConfig {
+            nx: 4,
+            ny: 4,
+            steps: V1_STEPS,
+            ..SolverConfig::default()
+        }))
+        .campaign(CampaignPlan::single_series(V1_CLIENTS, 2))
+        .buffer(BufferConfig {
+            kind: BufferKind::Fifo,
+            capacity: 16,
+            threshold: 2,
+            seed: 3,
+        })
+        .batch_size(2)
+        .validation(2, 4)
+        .hidden_width(4)
+        .seed(2023)
+        .checkpoint_every_batches(2)
+        .build()
+        .expect("consistent fixture configuration")
+}
+
+/// The checkpoint stored in the fixture: the configuration's initial model,
+/// 6 batches in, with simulations 0–2 complete.
+fn v1_fixture_checkpoint(config: &ExperimentConfig) -> ServerCheckpoint {
+    let model = Mlp::new(config.surrogate.mlp_config(config.output_size()));
+    ServerCheckpoint::capture(&model, 6, 12, vec![0, 1, 2], config.seed)
+}
+
+/// Field-by-field equality, with the parameters compared bit for bit.
+fn assert_same_checkpoint(found: &ServerCheckpoint, expected: &ServerCheckpoint) {
+    assert_eq!(found.batches_trained, expected.batches_trained);
+    assert_eq!(found.samples_seen, expected.samples_seen);
+    assert_eq!(found.completed_simulations, expected.completed_simulations);
+    assert_eq!(found.experiment_seed, expected.experiment_seed);
+    assert_eq!(found.model.config, expected.model.config);
+    assert_eq!(found.model.batches_trained, expected.model.batches_trained);
+    assert_eq!(found.model.samples_seen, expected.model.samples_seen);
+    let bits = |params: &[f32]| params.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&found.model.params), bits(&expected.model.params));
+}
+
+/// Regenerates the version-1 fixture into the directory named by
+/// `MELISSA_WRITE_V1_FIXTURE` (run with `--ignored`); only meaningful on a
+/// build whose writer still emits format version 1.
+#[test]
+#[ignore = "fixture generator, run by hand"]
+fn write_v1_fixture() {
+    let Some(out) = std::env::var_os("MELISSA_WRITE_V1_FIXTURE") else {
+        return;
+    };
+    assert_eq!(melissa::DURABLE_FORMAT_VERSION, 1);
+    let out = PathBuf::from(out);
+    let config = v1_fixture_config();
+    let identity = identity_of(&config);
+    let store = DurableCheckpointStore::open(&out, identity, 3).unwrap();
+    store.save(&v1_fixture_checkpoint(&config)).unwrap();
+    let (journal, _) = CompletionJournal::open(&out, identity, 1).unwrap();
+    for simulation_id in V1_JOURNALED {
+        journal.append(simulation_id).unwrap();
+    }
+    journal.flush().unwrap();
+}
+
+#[test]
+fn version_1_directory_loads_replays_and_resumes() {
+    let config = v1_fixture_config();
+    let identity = identity_of(&config);
+    // Resuming appends to the directory, so work on a copy.
+    let dir = temp_dir("v1-fixture");
+    for name in ["ckpt-0000000000", "journal"] {
+        fs::copy(Path::new(V1_FIXTURE_DIR).join(name), dir.join(name)).unwrap();
+    }
+    assert_eq!(melissa::peek_identity(&dir).unwrap(), Some(identity));
+
+    let store = DurableCheckpointStore::open(&dir, identity, 3).unwrap();
+    let latest = store.load_latest().unwrap();
+    assert!(latest.rejected.is_empty(), "{:?}", latest.rejected);
+    let (epoch, checkpoint) = latest.latest.expect("the v1 checkpoint loads");
+    assert_eq!(epoch, 0);
+    assert_same_checkpoint(&checkpoint, &v1_fixture_checkpoint(&config));
+    drop(store);
+
+    let (journal, replayed) = CompletionJournal::open(&dir, identity, 1).unwrap();
+    assert_eq!(replayed, V1_JOURNALED);
+    drop(journal);
+
+    let (model, report, final_checkpoint) =
+        OnlineExperiment::resume_from_dir(&dir, config).expect("a v1 directory resumes");
+    assert!(model.params_flat().iter().all(|p| p.is_finite()));
+    assert_eq!(report.durable_error, None);
+    assert_eq!(report.resumed_from_batches, Some(6));
+    // Simulations 0–2 (checkpoint) and 3–4 (journal) are not rerun.
+    let transport = report.transport.as_ref().expect("online stats");
+    assert_eq!(transport.messages_sent, 3 * V1_STEPS);
+    assert_eq!(
+        final_checkpoint
+            .expect("the resume checkpoints")
+            .completed_simulations,
+        (0..V1_CLIENTS as u64).collect::<Vec<_>>()
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 
