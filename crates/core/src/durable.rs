@@ -28,17 +28,31 @@
 //!   error latches the recorder into a degraded mode that stops writing
 //!   instead of aborting training.
 //!
-//! ## On-disk formats (version 1, all integers little-endian)
+//! ## On-disk formats (version 2, all integers and floats little-endian)
 //!
 //! Checkpoint file `ckpt-<epoch>` (epoch = zero-padded decimal):
 //!
 //! ```text
 //! magic "MELCKPT\0" | version u32 | reserved u32 | experiment_seed u64
 //! | config_fingerprint u64 | epoch u64 | payload_len u64
-//! | payload (ServerCheckpoint JSON) | checksum u64 over all prior bytes
+//! | payload | checksum u64 over all prior bytes
+//!
+//! payload = metadata_len u64 | metadata | parameters f32*
 //! ```
 //!
-//! Journal file `journal`:
+//! `metadata` is the [`ServerCheckpoint`] serialised without its parameter
+//! vector (architecture, counters, completed simulations, seed);
+//! `parameters` is the flat parameter vector as raw `f32` bit patterns, so a
+//! checkpoint restores every value bit for bit, non-finite ones included.
+//! A parameter block that is not a whole number of `f32` is
+//! [`CorruptKind::BadPayload`].
+//!
+//! Version 1 differs only in the payload, which is the whole
+//! [`ServerCheckpoint`] as JSON text. It is read, never written, so a
+//! directory left by an older build still resumes; versions above
+//! [`DURABLE_FORMAT_VERSION`] are [`CorruptKind::UnsupportedVersion`].
+//!
+//! Journal file `journal` (same layout in versions 1 and 2):
 //!
 //! ```text
 //! magic "MELJRNL\0" | version u32 | reserved u32 | experiment_seed u64
@@ -58,9 +72,11 @@ use std::collections::HashSet;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use surrogate_nn::ModelCheckpoint;
 
-/// Current version of both on-disk formats.
-pub const DURABLE_FORMAT_VERSION: u32 = 1;
+/// Current version of both on-disk formats; every version from 1 up to it
+/// is readable.
+pub const DURABLE_FORMAT_VERSION: u32 = 2;
 
 const CHECKPOINT_MAGIC: &[u8; 8] = b"MELCKPT\0";
 const JOURNAL_MAGIC: &[u8; 8] = b"MELJRNL\0";
@@ -82,7 +98,7 @@ pub enum CorruptKind {
     TruncatedHeader,
     /// The magic bytes are not this format's.
     BadMagic,
-    /// The format version is not [`DURABLE_FORMAT_VERSION`].
+    /// The format version is 0 or above [`DURABLE_FORMAT_VERSION`].
     UnsupportedVersion,
     /// The payload length field points past the end of the file.
     TruncatedPayload,
@@ -314,29 +330,72 @@ fn fsync_dir(dir: &Path) -> Result<(), DurabilityError> {
     handle.sync_all().map_err(|e| io_err(dir, e))
 }
 
-/// Serialises `checkpoint` into the version-1 checkpoint file format.
+/// Whether a header's format version can be read.
+fn readable_version(version: u32) -> bool {
+    (1..=DURABLE_FORMAT_VERSION).contains(&version)
+}
+
+/// Serialises `checkpoint` into the checkpoint file format.
 fn encode_checkpoint(
     checkpoint: &ServerCheckpoint,
     identity: DurableIdentity,
     epoch: u64,
 ) -> Result<Vec<u8>, DurabilityError> {
-    let payload = checkpoint.to_json().map_err(|_| DurabilityError::Corrupt {
+    let model = &checkpoint.model;
+    let metadata = ServerCheckpoint {
+        model: ModelCheckpoint {
+            config: model.config.clone(),
+            params: Vec::new(),
+            batches_trained: model.batches_trained,
+            samples_seen: model.samples_seen,
+        },
+        completed_simulations: checkpoint.completed_simulations.clone(),
+        ..*checkpoint
+    };
+    let metadata = metadata.to_json().map_err(|_| DurabilityError::Corrupt {
         path: PathBuf::from("<in-memory checkpoint>"),
         kind: CorruptKind::BadPayload,
     })?;
-    let payload = payload.into_bytes();
-    let mut bytes = Vec::with_capacity(CHECKPOINT_HEADER_LEN + payload.len() + 8);
+    let payload_len = 8 + metadata.len() + 4 * model.params.len();
+    let mut bytes = Vec::with_capacity(CHECKPOINT_HEADER_LEN + payload_len + 8);
     bytes.extend_from_slice(CHECKPOINT_MAGIC);
     push_u32(&mut bytes, DURABLE_FORMAT_VERSION);
     push_u32(&mut bytes, 0); // reserved
     push_u64(&mut bytes, identity.experiment_seed);
     push_u64(&mut bytes, identity.config_fingerprint);
     push_u64(&mut bytes, epoch);
-    push_u64(&mut bytes, payload.len() as u64);
-    bytes.extend_from_slice(&payload);
+    push_u64(&mut bytes, payload_len as u64);
+    push_u64(&mut bytes, metadata.len() as u64);
+    bytes.extend_from_slice(metadata.as_bytes());
+    for param in &model.params {
+        bytes.extend_from_slice(&param.to_le_bytes());
+    }
     let checksum = Checksum64::digest(&bytes);
     push_u64(&mut bytes, checksum);
     Ok(bytes)
+}
+
+/// Parses a version-2 payload: metadata length, metadata JSON, raw `f32`
+/// parameters. `None` when it does not deserialize.
+fn decode_payload(payload: &[u8]) -> Option<ServerCheckpoint> {
+    if payload.len() < 8 {
+        return None;
+    }
+    let metadata_end = usize::try_from(read_u64(payload, 0))
+        .ok()?
+        .checked_add(8)
+        .filter(|&end| end <= payload.len())?;
+    let metadata = std::str::from_utf8(&payload[8..metadata_end]).ok()?;
+    let mut checkpoint = ServerCheckpoint::from_json(metadata).ok()?;
+    let params = &payload[metadata_end..];
+    if !params.len().is_multiple_of(4) {
+        return None;
+    }
+    checkpoint.model.params = params
+        .chunks_exact(4)
+        .map(|raw| f32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]))
+        .collect();
+    Some(checkpoint)
 }
 
 /// Parses and validates one checkpoint file, returning its epoch and payload.
@@ -355,7 +414,8 @@ fn decode_checkpoint(
     if &bytes[..8] != CHECKPOINT_MAGIC {
         return Err(corrupt(CorruptKind::BadMagic));
     }
-    if read_u32(bytes, 8) != DURABLE_FORMAT_VERSION {
+    let version = read_u32(bytes, 8);
+    if !readable_version(version) {
         return Err(corrupt(CorruptKind::UnsupportedVersion));
     }
     let seed = read_u64(bytes, 16);
@@ -389,10 +449,15 @@ fn decode_checkpoint(
             found: fingerprint,
         });
     }
-    let json = std::str::from_utf8(&bytes[CHECKPOINT_HEADER_LEN..payload_end])
-        .map_err(|_| corrupt(CorruptKind::BadPayload))?;
-    let checkpoint =
-        ServerCheckpoint::from_json(json).map_err(|_| corrupt(CorruptKind::BadPayload))?;
+    let payload = &bytes[CHECKPOINT_HEADER_LEN..payload_end];
+    let checkpoint = if version == 1 {
+        std::str::from_utf8(payload)
+            .ok()
+            .and_then(|json| ServerCheckpoint::from_json(json).ok())
+    } else {
+        decode_payload(payload)
+    };
+    let checkpoint = checkpoint.ok_or_else(|| corrupt(CorruptKind::BadPayload))?;
     Ok((epoch, checkpoint))
 }
 
@@ -579,7 +644,7 @@ pub fn peek_identity(dir: impl AsRef<Path>) -> Result<Option<DurableIdentity>, D
 fn peek_journal_header(bytes: &[u8]) -> Option<DurableIdentity> {
     if bytes.len() < JOURNAL_HEADER_LEN
         || &bytes[..8] != JOURNAL_MAGIC
-        || read_u32(bytes, 8) != DURABLE_FORMAT_VERSION
+        || !readable_version(read_u32(bytes, 8))
         || Checksum64::digest(&bytes[..JOURNAL_HEADER_LEN - 8])
             != read_u64(bytes, JOURNAL_HEADER_LEN - 8)
     {
@@ -596,7 +661,7 @@ fn peek_journal_header(bytes: &[u8]) -> Option<DurableIdentity> {
 fn peek_checkpoint_header(bytes: &[u8]) -> Option<DurableIdentity> {
     if bytes.len() < CHECKPOINT_HEADER_LEN + 8
         || &bytes[..8] != CHECKPOINT_MAGIC
-        || read_u32(bytes, 8) != DURABLE_FORMAT_VERSION
+        || !readable_version(read_u32(bytes, 8))
     {
         return None;
     }
@@ -736,7 +801,7 @@ impl CompletionJournal {
         if &bytes[..8] != JOURNAL_MAGIC {
             return Err(corrupt(CorruptKind::BadMagic));
         }
-        if read_u32(bytes, 8) != DURABLE_FORMAT_VERSION {
+        if !readable_version(read_u32(bytes, 8)) {
             return Err(corrupt(CorruptKind::UnsupportedVersion));
         }
         let header_checksum = read_u64(bytes, JOURNAL_HEADER_LEN - 8);
@@ -1033,6 +1098,93 @@ mod tests {
                 DurabilityError::Corrupt { .. }
             ));
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Offset of the first parameter byte of a checkpoint file.
+    fn params_offset(bytes: &[u8]) -> usize {
+        CHECKPOINT_HEADER_LEN + 8 + read_u64(bytes, CHECKPOINT_HEADER_LEN) as usize
+    }
+
+    #[test]
+    fn parameters_round_trip_bit_for_bit() {
+        let dir = temp_dir("bits");
+        let store = DurableCheckpointStore::open(&dir, IDENTITY, 5).unwrap();
+        let mut saved = checkpoint(3, vec![0, 2]);
+        let specials = [
+            -0.0,
+            f32::from_bits(1), // smallest subnormal
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7FC0_1234), // NaN with a non-default payload
+        ];
+        saved.model.params[..specials.len()].copy_from_slice(&specials);
+        store.save(&saved).unwrap();
+        let (_, loaded) = store.load_latest().unwrap().latest.unwrap();
+        let bits = |params: &[f32]| params.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&loaded.model.params), bits(&saved.model.params));
+        assert_eq!(loaded.model.config, saved.model.config);
+        assert_eq!(loaded.completed_simulations, vec![0, 2]);
+        assert_eq!(loaded.batches_trained, 3);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn damaged_parameter_block_falls_back_to_the_previous_epoch() {
+        let dir = temp_dir("paramblock");
+        let store = DurableCheckpointStore::open(&dir, IDENTITY, 5).unwrap();
+        store.save(&checkpoint(2, vec![0])).unwrap();
+        store.save(&checkpoint(4, vec![0, 1])).unwrap();
+        let newest = dir.join(checkpoint_file_name(1));
+        let original = fs::read(&newest).unwrap();
+        let inside_params = params_offset(&original) + 6;
+        assert!(inside_params < original.len() - 8);
+
+        let mut flipped = original.clone();
+        flipped[inside_params] ^= 0x01;
+        for (bytes, kind) in [
+            (&original[..inside_params], CorruptKind::TruncatedPayload),
+            (&flipped[..], CorruptKind::ChecksumMismatch),
+        ] {
+            fs::write(&newest, bytes).unwrap();
+            let loaded = store.load_latest().unwrap();
+            let (epoch, cp) = loaded.latest.unwrap();
+            assert_eq!((epoch, cp.batches_trained), (0, 2), "{kind:?}");
+            assert_eq!(loaded.rejected.len(), 1);
+            assert!(
+                matches!(loaded.rejected[0], DurabilityError::Corrupt { kind: k, .. } if k == kind),
+                "{kind:?}: {:?}",
+                loaded.rejected[0]
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ragged_parameter_block_is_a_bad_payload() {
+        let dir = temp_dir("ragged");
+        let store = DurableCheckpointStore::open(&dir, IDENTITY, 5).unwrap();
+        store.save(&checkpoint(2, vec![0])).unwrap();
+        let path = dir.join(checkpoint_file_name(0));
+        let mut bytes = fs::read(&path).unwrap();
+        // Drop one parameter byte, then make the header and checksum agree
+        // with the shorter file: only the payload decoder can object.
+        bytes.truncate(bytes.len() - 8);
+        bytes.pop();
+        let payload_len = (bytes.len() - CHECKPOINT_HEADER_LEN) as u64;
+        bytes[40..48].copy_from_slice(&payload_len.to_le_bytes());
+        let checksum = Checksum64::digest(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let loaded = store.load_latest().unwrap();
+        assert!(loaded.latest.is_none());
+        assert!(matches!(
+            loaded.rejected[0],
+            DurabilityError::Corrupt {
+                kind: CorruptKind::BadPayload,
+                ..
+            }
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 

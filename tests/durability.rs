@@ -16,11 +16,13 @@
 //!   silently-wrong state) and *survived* (fall back to the newest earlier
 //!   checkpoint, drop the journal's torn tail, rerun what was lost).
 //!
-//! The byte offsets used by the corruption tests pin the version-1 file
-//! formats: checkpoint = magic(8) version(4) reserved(4) seed(8)
-//! fingerprint(8) epoch(8) payload_len(8) payload trailing-checksum(8);
-//! journal = 40-byte header + 24-byte records. Changing the layout must bump
-//! `DURABLE_FORMAT_VERSION` and update these tests.
+//! The byte offsets used by the corruption tests pin the file layout shared
+//! by format versions 1 and 2: checkpoint = magic(8) version(4) reserved(4)
+//! seed(8) fingerprint(8) epoch(8) payload_len(8) payload
+//! trailing-checksum(8); journal = 40-byte header + 24-byte records.
+//! Changing the layout must bump `DURABLE_FORMAT_VERSION` and update these
+//! tests. A committed version-1 directory pins that older builds' state
+//! still resumes.
 
 use heat_solver::SolverConfig;
 use melissa::{
@@ -477,7 +479,7 @@ fn foreign_experiment_checkpoints_are_rejected_by_identity() {
 // Version-1 directories still resume
 // ---------------------------------------------------------------------------
 
-/// A durability directory written at format version 1: one checkpoint
+/// A durability directory written by the format-1 writer: one checkpoint
 /// (epoch 0, [`v1_fixture_checkpoint`]) and a journal recording
 /// [`V1_JOURNALED`], both for [`v1_fixture_config`].
 const V1_FIXTURE_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/durable_v1");
@@ -532,28 +534,6 @@ fn assert_same_checkpoint(found: &ServerCheckpoint, expected: &ServerCheckpoint)
     assert_eq!(found.model.samples_seen, expected.model.samples_seen);
     let bits = |params: &[f32]| params.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&found.model.params), bits(&expected.model.params));
-}
-
-/// Regenerates the version-1 fixture into the directory named by
-/// `MELISSA_WRITE_V1_FIXTURE` (run with `--ignored`); only meaningful on a
-/// build whose writer still emits format version 1.
-#[test]
-#[ignore = "fixture generator, run by hand"]
-fn write_v1_fixture() {
-    let Some(out) = std::env::var_os("MELISSA_WRITE_V1_FIXTURE") else {
-        return;
-    };
-    assert_eq!(melissa::DURABLE_FORMAT_VERSION, 1);
-    let out = PathBuf::from(out);
-    let config = v1_fixture_config();
-    let identity = identity_of(&config);
-    let store = DurableCheckpointStore::open(&out, identity, 3).unwrap();
-    store.save(&v1_fixture_checkpoint(&config)).unwrap();
-    let (journal, _) = CompletionJournal::open(&out, identity, 1).unwrap();
-    for simulation_id in V1_JOURNALED {
-        journal.append(simulation_id).unwrap();
-    }
-    journal.flush().unwrap();
 }
 
 #[test]
