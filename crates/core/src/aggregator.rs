@@ -242,6 +242,8 @@ impl ShardWorker<'_> {
         let mut scratch: Vec<Sample> = Vec::with_capacity(Aggregator::MAX_BURST);
         // analysis: allow(alloc, reason = "one-time scratch setup before the drain loop; recycled across every burst")
         let mut burst_counts: Vec<(u64, usize)> = Vec::with_capacity(8);
+        // analysis: allow(alloc, reason = "one-time scratch setup before the drain loop; recycled across every burst")
+        let mut burst_finalized: Vec<u64> = Vec::with_capacity(8);
 
         loop {
             // After a server crash the workers stop accepting data but keep
@@ -286,9 +288,8 @@ impl ShardWorker<'_> {
                                 // rank-level counter every worker polls.
                                 if !log.is_finalized(client_id) {
                                     log.mark_finalized(client_id);
-                                    if let Some(tracker) = &self.control.tracker {
-                                        // analysis: allow(blocking, reason = "short per-sim map update under an uncontended mutex; at most once per client per rank")
-                                        tracker.record_finalized(client_id);
+                                    if self.control.tracker.is_some() {
+                                        burst_finalized.push(client_id);
                                     }
                                     // ordering: AcqRel — the Release half publishes this client's drained messages before the count; the Acquire half orders the RMW against the termination-gate loads
                                     self.finalized.fetch_add(1, Ordering::AcqRel);
@@ -296,8 +297,8 @@ impl ShardWorker<'_> {
                             }
                         }
                     }
+                    self.flush_burst_counts(&mut burst_counts, &mut burst_finalized);
                     self.buffer.put_many_shard(shard, &mut scratch);
-                    self.flush_burst_counts(&mut burst_counts);
                     // If this burst contained the rank's last expected
                     // finalize, stop immediately instead of sleeping through
                     // one more poll.
@@ -358,8 +359,8 @@ impl ShardWorker<'_> {
                     }
                 }
             }
+            self.flush_burst_counts(&mut burst_counts, &mut burst_finalized);
             self.buffer.put_many_shard(shard, &mut scratch);
-            self.flush_burst_counts(&mut burst_counts);
         }
         ShardOutcome {
             accepted,
@@ -368,20 +369,29 @@ impl ShardWorker<'_> {
         }
     }
 
-    /// Flushes one burst's per-simulation acceptance counts to the recovery
-    /// tracker (one lock acquisition per burst, not per message) and clears
-    /// the scratch for the next burst.
-    fn flush_burst_counts(&self, burst_counts: &mut Vec<(u64, usize)>) {
-        if burst_counts.is_empty() {
-            return;
-        }
+    /// Flushes one burst's per-simulation acceptance counts, then its
+    /// finalizes, to the recovery tracker (one lock acquisition per update at
+    /// burst cadence, not per message) and clears both scratches.
+    ///
+    /// Runs *before* the burst's samples are handed to the buffer. A sample
+    /// is then always counted received before the trainer can consume it,
+    /// and a finalize only after its simulation's samples are counted, so a
+    /// simulation never reads as completed while samples of it are still
+    /// untrained — and does read as completed once they are trained, even
+    /// while `put_many` still waits for room in a full buffer.
+    fn flush_burst_counts(&self, burst_counts: &mut Vec<(u64, usize)>, finalized: &mut Vec<u64>) {
         if let Some(tracker) = &self.control.tracker {
             for &(simulation_id, count) in burst_counts.iter() {
                 // analysis: allow(blocking, reason = "short per-sim map update under a mutex contended only at burst cadence")
                 tracker.record_received(simulation_id, count);
             }
+            for &simulation_id in finalized.iter() {
+                // analysis: allow(blocking, reason = "short per-sim map update under a mutex contended only at burst cadence; at most once per client per rank")
+                tracker.record_finalized(simulation_id);
+            }
         }
         burst_counts.clear();
+        finalized.clear();
     }
 }
 
@@ -500,6 +510,61 @@ mod tests {
         assert_eq!(outcome.accepted, 8, "5 originals + 3 new steps");
         assert_eq!(outcome.duplicates_discarded, 5);
         assert_eq!(buffer.len(), 8);
+    }
+
+    #[test]
+    fn a_simulation_is_not_completed_while_its_samples_wait_for_buffer_room() {
+        use crate::recovery::RecoveryTracker;
+        let fabric = Fabric::new(FabricConfig::default());
+        // Room for exactly the first five samples: the second burst (steps
+        // 5–9 and the finalize) waits in `put_many` until the test drains.
+        let buffer = Arc::new(ShardedBuffer::new(
+            &BufferConfig {
+                kind: BufferKind::Fifo,
+                capacity: 5,
+                threshold: 1,
+                seed: 1,
+            },
+            1,
+        ));
+        let tracker = Arc::new(RecoveryTracker::new(1));
+        let mut control = IngestControl::basic(1, Arc::new(AtomicBool::new(false)));
+        control.tracker = Some(Arc::clone(&tracker));
+        let aggregator = Aggregator::new(
+            fabric.rank_shard_endpoints().remove(0),
+            Arc::clone(&buffer),
+            InputNormalizer::for_trajectory(100, 0.01),
+            OutputNormalizer::default(),
+            control,
+        );
+        let handle = std::thread::spawn(move || aggregator.run(Instant::now()));
+
+        let client = fabric.connect_client(0);
+        for step in 0..5 {
+            client.send(payload(0, step)).unwrap();
+        }
+        while buffer.len() < 5 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The trainer has consumed everything it could see so far.
+        let first: Vec<(u64, usize)> = (0..5).map(|step| (0, step)).collect();
+        tracker.record_consumed(&first);
+        for step in 5..10 {
+            client.send(payload(0, step)).unwrap();
+        }
+        client.finalize().unwrap();
+        // Steps 5–9 are received but untrained: the simulation must not read
+        // as completed, whatever the aggregator has got to.
+        for _ in 0..50 {
+            assert!(tracker.completed_simulations().is_empty());
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        for _ in 0..10 {
+            let sample = buffer.get().expect("ten samples were sent");
+            tracker.record_consumed(&[(0, sample.step)]);
+        }
+        assert_eq!(tracker.completed_simulations(), vec![0]);
+        assert_eq!(handle.join().unwrap().accepted, 10);
     }
 
     #[test]
