@@ -370,8 +370,8 @@ impl ShardWorker<'_> {
     }
 
     /// Flushes one burst's per-simulation acceptance counts, then its
-    /// finalizes, to the recovery tracker (one lock acquisition per update at
-    /// burst cadence, not per message) and clears both scratches.
+    /// finalizes, to the recovery tracker (at burst cadence, not per
+    /// message) and clears both scratches.
     ///
     /// Runs *before* the burst's samples are handed to the buffer. A sample
     /// is then always counted received before the trainer can consume it,

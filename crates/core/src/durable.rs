@@ -40,8 +40,8 @@
 //! payload = metadata_len u64 | metadata | parameters f32*
 //! ```
 //!
-//! `metadata` is the [`ServerCheckpoint`] serialised without its parameter
-//! vector (architecture, counters, completed simulations, seed);
+//! `metadata` is the [`ServerCheckpoint`] as JSON with its parameter vector
+//! left empty (architecture, counters, completed simulations, seed);
 //! `parameters` is the flat parameter vector as raw `f32` bit patterns, so a
 //! checkpoint restores every value bit for bit, non-finite ones included.
 //! A parameter block that is not a whole number of `f32` is
