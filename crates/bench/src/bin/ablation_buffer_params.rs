@@ -1,6 +1,5 @@
 //! Ablation — sweep of the Reservoir capacity and threshold (the paper fixes
-//! 6,000 / 1,000 without a sweep; DESIGN.md lists this as a design choice worth
-//! ablating).
+//! 6,000 / 1,000 without a sweep, so this design choice is worth ablating).
 //!
 //! ```bash
 //! cargo run -p melissa-bench --release --bin ablation_buffer_params -- --scale 0.04

@@ -1,10 +1,10 @@
 //! Shared helpers of the figure/table regeneration harness.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md` for the index). The binaries print plain-text tables with
-//! the same rows/series the paper reports; absolute numbers differ (the
-//! substrate is a scaled-down simulator), the *shapes* are the reproduction
-//! target. The common knobs are:
+//! Every binary in `src/bin/` regenerates one table or figure of the paper,
+//! named in the binary's file name and module docs. The binaries print
+//! plain-text tables with the same rows/series the paper reports; absolute
+//! numbers differ (the substrate is a scaled-down simulator), the *shapes* are
+//! the reproduction target. The common knobs are:
 //!
 //! * `--scale <f>`  — scales the ensemble size relative to the paper (default
 //!   differs per experiment; the paper scale is 1.0);

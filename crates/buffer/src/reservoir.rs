@@ -18,8 +18,10 @@
 //!
 //! Batch serving (`get_batch` / `get_batch_with`) selects with serve stream
 //! **"reservoir-draw-v2"**: one seeded RNG draw per batch, expanded to one
-//! index per sample with [`splitmix64`]. Single `get`s and the eviction draws
-//! on the insertion side keep the original per-call v1 stream.
+//! index per sample with the SplitMix64 finaliser, so sample `i` of a batch
+//! whose draw is `base` takes index `splitmix64(base + i) % population`.
+//! Single `get`s and the eviction draws on the insertion side keep the
+//! original per-call v1 stream.
 
 use crate::lock_order;
 use crate::stats::BufferStats;
@@ -359,7 +361,7 @@ impl<T: Clone + Send> TrainingBuffer<T> for ReservoirBuffer<T> {
     /// and clone-vs-move behaviour mirror sequential `get`s (a pre-drain
     /// serve clones once, a post-drain serve moves the sample out), while the
     /// selections come from the per-batch serve stream "reservoir-draw-v2"
-    /// (see [`splitmix64`]): one RNG draw per batch, not one per sample.
+    /// (see the module docs): one RNG draw per batch, not one per sample.
     // analysis: hot_path
     fn get_batch(&self, n: usize, out: &mut Vec<T>) -> usize {
         if n == 0 {

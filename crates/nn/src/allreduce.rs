@@ -6,7 +6,8 @@
 //! (§3.1). [`GradientSynchronizer`] reproduces this with a barrier-protected
 //! shared accumulation buffer: every rank contributes its gradient vector,
 //! receives the mean, and all ranks proceed in lock-step — exactly the
-//! synchronous data-parallel semantics of PyTorch DDP / Horovod.
+//! synchronous data-parallel semantics of PyTorch DDP / Horovod. A single
+//! rank is its own mean, so its all-reduce is a length check and nothing else.
 
 use parking_lot::Mutex;
 use std::sync::Barrier;
@@ -22,6 +23,7 @@ struct Accumulator {
 /// Synchronous mean all-reduce over `num_ranks` participating training threads.
 pub struct GradientSynchronizer {
     num_ranks: usize,
+    param_count: usize,
     barrier: Barrier,
     accumulator: Mutex<Accumulator>,
 }
@@ -30,11 +32,14 @@ impl GradientSynchronizer {
     /// Creates a synchronizer for `num_ranks` ranks and `param_count` parameters.
     pub fn new(num_ranks: usize, param_count: usize) -> Self {
         assert!(num_ranks > 0, "need at least one rank");
+        // One rank never touches the accumulator, so it gets no storage.
+        let shared_len = if num_ranks > 1 { param_count } else { 0 };
         Self {
             num_ranks,
+            param_count,
             barrier: Barrier::new(num_ranks),
             accumulator: Mutex::new(Accumulator {
-                values: vec![0.0; param_count],
+                values: vec![0.0; shared_len],
                 contributed: 0,
             }),
         }
@@ -57,12 +62,20 @@ impl GradientSynchronizer {
     /// this matters because the collective runs once per batch on a vector as
     /// large as the model.
     ///
+    /// With one rank the mean is `grads` itself: the call checks the length
+    /// and returns, with no lock, no barrier and no copy. Every non-NaN value
+    /// keeps its exact bits, as it did when the one-rank path copied the
+    /// vector out and back scaled by 1.0.
+    ///
     /// # Panics
     /// Panics when `grads.len()` differs from the configured parameter count.
     pub fn all_reduce_mean(&self, grads: &mut [f32]) {
+        assert_eq!(self.param_count, grads.len(), "gradient length mismatch");
+        if self.num_ranks == 1 {
+            return;
+        }
         {
             let mut acc = self.accumulator.lock();
-            assert_eq!(acc.values.len(), grads.len(), "gradient length mismatch");
             if acc.contributed == 0 {
                 acc.values.copy_from_slice(grads);
             } else {
@@ -106,6 +119,29 @@ mod tests {
         let mut grads = vec![1.0, -2.0, 3.0, 0.5];
         sync.all_reduce_mean(&mut grads);
         assert_eq!(grads, vec![1.0, -2.0, 3.0, 0.5]);
+    }
+
+    #[test]
+    fn single_rank_keeps_every_bit() {
+        let values = [
+            -0.0,
+            0.0,
+            f32::from_bits(1), // smallest positive subnormal
+            -f32::MIN_POSITIVE / 3.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            1.5,
+            -7.25e-3,
+            f32::MAX,
+        ];
+        let sync = GradientSynchronizer::new(1, values.len());
+        let mut grads = values;
+        for _ in 0..3 {
+            sync.all_reduce_mean(&mut grads);
+        }
+        for (got, want) in grads.iter().zip(values.iter()) {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
     }
 
     #[test]

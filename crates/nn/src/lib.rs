@@ -1,10 +1,10 @@
 //! # surrogate-nn
 //!
 //! A from-scratch dense neural-network library providing the deep-learning
-//! substrate of the SC'23 Melissa reproduction (see `DESIGN.md`): the paper
-//! trains a fully connected surrogate (6 → 256 → 256 → H·W, ReLU, Adam,
-//! halve-the-learning-rate schedule) with PyTorch's distributed data parallelism
-//! across GPUs. Here the same architecture family is implemented directly:
+//! substrate of the SC'23 Melissa reproduction: the paper trains a fully
+//! connected surrogate (6 → 256 → 256 → H·W, ReLU, Adam, halve-the-learning-rate
+//! schedule) with PyTorch's distributed data parallelism across GPUs. Here the
+//! same architecture family is implemented directly:
 //!
 //! * [`Matrix`] — a minimal dense 2D tensor with the matmul/transpose kernels
 //!   needed by fully connected layers, in two families: naive allocating
