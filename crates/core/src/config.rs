@@ -13,6 +13,7 @@ use melissa_transport::FaultConfig;
 use melissa_workload::PARAM_DIM;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 use std::time::Duration;
 use surrogate_nn::{Activation, InitScheme, KernelIsa, MlpConfig};
 use training_buffer::{BufferConfig, BufferKind};
@@ -97,11 +98,12 @@ pub struct TrainingConfig {
     pub validation_simulations: usize,
     /// Emulated device characteristics.
     pub device: DeviceProfile,
-    /// GEMM threads per rank for the blocked training kernels; 0 = serial,
-    /// the default. The threaded kernels spawn scoped threads per GEMM call
-    /// and compete with the clients and the aggregator for the same cores,
-    /// so on the repository benchmark one thread trains faster than every
-    /// core. Results are bit-identical for every value.
+    /// Kernel threads per rank for the large training GEMMs and the Adam
+    /// step; 0 (the default) means the machine's cores divided among the
+    /// ranks, at least 1 (see [`TrainingConfig::effective_gemm_threads`]).
+    /// Above 1, each rank's workspace keeps a persistent pool of that many
+    /// threads, the rank's training thread included. Results are
+    /// bit-identical for every value.
     pub gemm_threads: usize,
     /// Overlap batch assembly with compute: a per-rank prefetch stage
     /// assembles batch N+1 from the training buffer while the train step runs
@@ -137,10 +139,21 @@ impl Default for TrainingConfig {
 
 impl TrainingConfig {
     /// Resolves the configured [`TrainingConfig::gemm_threads`] to a concrete
-    /// thread count: an explicit value wins, and `0` means serial.
+    /// thread count: an explicit value wins, and `0` splits the machine's
+    /// cores ([`std::thread::available_parallelism`], read once per process)
+    /// evenly among the ranks, with at least one thread per rank.
     pub fn effective_gemm_threads(&self) -> usize {
-        self.gemm_threads.max(1)
+        match self.gemm_threads {
+            0 => (available_cores() / self.num_ranks.max(1)).max(1),
+            threads => threads,
+        }
     }
+}
+
+/// The machine's core count, read once per process.
+fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
 /// On-disk durability of the recovery state (see [`crate::durable`]).
@@ -660,13 +673,21 @@ mod tests {
 
     #[test]
     fn gemm_threads_resolution() {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
         let mut training = TrainingConfig::default();
+        assert_eq!(training.gemm_threads, 0);
+        assert_eq!(training.effective_gemm_threads(), cores);
+        for ranks in [2, 3, 4, cores + 1] {
+            training.num_ranks = ranks;
+            assert_eq!(training.effective_gemm_threads(), (cores / ranks).max(1));
+        }
+        // More ranks than cores still gives every rank one thread.
         assert_eq!(training.effective_gemm_threads(), 1);
+        // An explicit count wins over the core split.
         training.gemm_threads = 3;
         assert_eq!(training.effective_gemm_threads(), 3);
-        training.gemm_threads = 0;
-        training.num_ranks = 4;
-        assert_eq!(training.effective_gemm_threads(), 1);
+        training.num_ranks = 1;
+        assert_eq!(training.effective_gemm_threads(), 3);
     }
 
     #[test]

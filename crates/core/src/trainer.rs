@@ -184,8 +184,9 @@ impl RankTrainer {
     /// The loop is allocation-free in steady state: the forward/backward
     /// passes borrow a per-trainer [`surrogate_nn::Workspace`], the batch
     /// matrices are filled straight from the buffer and reused across rounds,
-    /// the flattened-gradient vector is reused, and the optimizer keeps its
-    /// own update buffer.
+    /// several ranks reuse one flattened-gradient vector for the all-reduce
+    /// (a single rank steps on the model's own gradients), and the optimizer
+    /// keeps its own update buffer.
     pub fn run(self, start: Instant) -> RankOutcome {
         if self.config.prefetch {
             self.run_prefetch(start)
@@ -294,7 +295,11 @@ impl RankTrainer {
                 .workspace(batch_size)
                 .with_threads(self.config.effective_gemm_threads())
                 .with_isa(self.config.kernel_isa),
-            grads: Vec::with_capacity(self.model.param_count()),
+            grads: if self.shared.num_ranks > 1 {
+                Vec::with_capacity(self.model.param_count())
+            } else {
+                Vec::new()
+            },
             tracker: ThroughputTracker::new(10),
             losses: Vec::new(),
             occurrences: HashMap::new(),
@@ -367,11 +372,6 @@ impl RankTrainer {
             0.0
         };
 
-        // Synchronous data parallelism: average the gradients and apply the
-        // identical update on every replica.
-        self.model.grads_flat_into(&mut state.grads);
-        self.shared.grad_sync.all_reduce_mean(&mut state.grads);
-
         // Learning-rate decay is scheduled in *sample* space so that runs
         // with different rank counts decay at the same point (§4.5). The
         // sample count is derived deterministically from the round number so
@@ -383,7 +383,18 @@ impl RankTrainer {
         let lr = self
             .schedule
             .learning_rate(progress_rounds, nominal_samples_seen);
-        self.optimizer.step(&mut self.model, &state.grads, lr);
+        if self.shared.num_ranks == 1 {
+            // One rank is its own mean: step straight on the model's
+            // gradients, split over the workspace's kernel threads.
+            self.optimizer
+                .step_in_place(&mut self.model, state.ws.pool(), lr);
+        } else {
+            // Synchronous data parallelism: average the gradients and apply
+            // the identical update on every replica.
+            self.model.grads_flat_into(&mut state.grads);
+            self.shared.grad_sync.all_reduce_mean(&mut state.grads);
+            self.optimizer.step(&mut self.model, &state.grads, lr);
+        }
 
         // The emulated-device stall is measured so throughput reports can
         // separate kernel time from what the device emulation adds.

@@ -26,41 +26,113 @@
 //! * **Fused epilogues.** The forward kernel takes a per-element epilogue
 //!   `f(col, acc)` so bias-add and activation are applied while the output
 //!   tile is still hot in registers, instead of in separate passes.
-//! * **Row-parallelism.** Every kernel can split its *output rows* across a
-//!   small scoped thread pool (the vendored crossbeam scope). Each row is
-//!   computed by exactly one thread with the same per-element reduction
-//!   order as the serial kernel, so results are bit-identical for every
-//!   thread count — multi-rank seed reproducibility is preserved.
+//! * **Output splitting.** `gemm_nn` and `gemm_tn` take an optional
+//!   [`KernelPool`] (the workspace's persistent helper threads) and split
+//!   their *output* across it once the work is large enough: `gemm_tn` by
+//!   output rows, `gemm_nn` by output rows or, when the batch side is the
+//!   smaller operand, by 16-aligned output columns (see `par_gemm_nn`).
+//!   Each output element is computed by exactly one thread with the same
+//!   per-element reduction order as the serial kernel, so results are
+//!   bit-identical for every thread count — multi-rank seed reproducibility
+//!   is preserved.
 
-// GEMM signatures carry (threads, a, m, k, b, n, out, epilogue) — splitting
+// GEMM signatures carry (pool, a, m, k, b, n, out, epilogue) — splitting
 // them into structs would obscure the BLAS-style calling convention.
 #![allow(clippy::too_many_arguments)]
+
+use crate::pool::{self, ColsMut, KernelPool};
+use std::ops::Range;
 
 /// Register-tile height: output rows processed together per pass.
 pub const MR: usize = 4;
 
-/// Work threshold (in multiply-adds) below which parallel dispatch falls back
-/// to the serial kernel; spawning scoped threads costs tens of microseconds.
-/// Shared with the SIMD dispatch layer so serial/parallel splits never
-/// diverge between the scalar and vector paths.
-pub(crate) const PAR_MIN_MADDS: usize = 1 << 20;
+/// Work threshold (in multiply-adds) from which a GEMM splits its output
+/// across a pool; smaller ones run serially on the caller. Measured on a
+/// 2-core x86_64 VM (AVX2) with the helper spinning between calls (3 runs of
+/// 3000 alternating serial/pooled calls, median per-pair speed-up): a
+/// 10×k×102 GEMM split in two breaks even at 2¹⁵ multiply-adds, gains
+/// 1.12–1.26× at 2¹⁶ and 1.34–1.40× at 2¹⁷, and 10×128×205 (2¹⁸) gains
+/// 1.5–1.7×. The threshold sits above the break-even so that a narrow
+/// model's GEMMs (the largest of the 2×16 `fifo-ingest` surrogate is
+/// 10×16×256 ≈ 2^15.3) never wake the pool and leave the second core to
+/// ingestion. Shared with the SIMD dispatch layer, so the scalar and vector
+/// paths split identically.
+pub const PAR_MIN_MADDS: usize = 1 << 17;
 
-/// Splits `rows` into at most `threads` contiguous chunks of equal size
-/// (the last chunk may be smaller). Returns the chunk height.
-fn chunk_rows(rows: usize, threads: usize) -> usize {
-    rows.div_ceil(threads.max(1)).max(1)
+/// Alignment of every chunk start when a split runs along a contiguous
+/// dimension: 16 f32 are one cache line and two 8-lane vectors, so chunk
+/// boundaries never share a line and every chunk runs the same register
+/// panels (and the same ragged tail) as the serial kernel.
+pub(crate) const SPLIT_ALIGN: usize = 16;
+
+/// Runs a `gemm_nn`-shaped serial `kernel(a_rows, rows, out)` over `pool`.
+///
+/// Below [`PAR_MIN_MADDS`], or without a pool, it is one call on the whole
+/// problem. Otherwise it splits the output so that each participant streams
+/// the smaller operand whole and only its share of the larger one: by
+/// [`SPLIT_ALIGN`]-aligned column ranges when `m < n` (a small batch times a
+/// wide weight matrix, where a row split would make every thread stream all
+/// of B), else by row ranges.
+pub(crate) fn par_gemm_nn(
+    pool: Option<&mut KernelPool>,
+    a: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+    kernel: impl Fn(&[f32], usize, &mut ColsMut<'_>) + Sync,
+) {
+    let threads = pool.as_deref().map_or(1, KernelPool::threads);
+    if threads < 2 || m * n * k < PAR_MIN_MADDS {
+        kernel(a, m, &mut ColsMut::new(out, n));
+    } else if m < n {
+        let chunk = pool::chunk_len(n, threads, SPLIT_ALIGN);
+        pool::split_cols(pool, out, n, chunk, |cols| kernel(a, m, cols));
+    } else {
+        let rows = m.div_ceil(threads);
+        pool::split_mut(pool, [out], rows * n, |range, [out]| {
+            let rows = range.start / n..range.end / n;
+            kernel(
+                &a[rows.start * k..rows.end * k],
+                rows.len(),
+                &mut ColsMut::new(out, n),
+            )
+        });
+    }
+}
+
+/// Runs a `gemm_tn`-shaped serial `kernel(rows, out_rows)` over `pool`,
+/// split by output rows (the `k` side) from [`PAR_MIN_MADDS`] on; `out_rows`
+/// holds exactly the output rows `rows`.
+pub(crate) fn par_gemm_tn(
+    pool: Option<&mut KernelPool>,
+    m: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+    kernel: impl Fn(Range<usize>, &mut [f32]) + Sync,
+) {
+    let threads = pool.as_deref().map_or(1, KernelPool::threads);
+    if threads < 2 || m * n * k < PAR_MIN_MADDS {
+        kernel(0..k, out);
+        return;
+    }
+    let rows = k.div_ceil(threads);
+    pool::split_mut(pool, [out], rows * n, |range, [out]| {
+        kernel(range.start / n..range.end / n, out)
+    });
 }
 
 /// `C = A·B` with a fused per-element epilogue: `out[i][j] = epi(j, Σ_l A[i][l]·B[l][j])`.
 ///
-/// `a` is `m×k`, `b` is `k×n`, `out` is `m×n`, all row-major. `threads > 1`
-/// splits the output rows across scoped threads when the work is large enough.
+/// `a` is `m×k`, `b` is `k×n`, `out` is `m×n`, all row-major. With a pool,
+/// the output is split across it when the work is large enough.
 ///
 /// # Panics
 /// Panics when the slice lengths do not match the dimensions.
 // analysis: hot_path
 pub fn gemm_nn<F>(
-    threads: usize,
+    pool: Option<&mut KernelPool>,
     a: &[f32],
     m: usize,
     k: usize,
@@ -74,21 +146,9 @@ pub fn gemm_nn<F>(
     assert_eq!(a.len(), m * k, "gemm_nn: A length");
     assert_eq!(b.len(), k * n, "gemm_nn: B length");
     assert_eq!(out.len(), m * n, "gemm_nn: C length");
-    if threads <= 1 || m < 2 || m * n * k < PAR_MIN_MADDS {
-        gemm_nn_serial(a, m, k, b, n, out, &epi);
-        return;
-    }
-    let rows_per = chunk_rows(m, threads);
-    let epi = &epi;
-    crossbeam::scope(|scope| {
-        for (a_chunk, out_chunk) in a.chunks(rows_per * k).zip(out.chunks_mut(rows_per * n)) {
-            scope.spawn(move |_| {
-                gemm_nn_serial(a_chunk, a_chunk.len() / k, k, b, n, out_chunk, epi);
-            });
-        }
-    })
-    // analysis: allow(panic, reason = "re-raises a worker thread's panic; a panicking GEMM worker is a kernel bug, not a recoverable state")
-    .expect("gemm_nn worker panicked");
+    par_gemm_nn(pool, a, m, k, n, out, |a, m, out| {
+        gemm_nn_serial(a, m, k, b, n, out, &epi)
+    });
 }
 
 /// Column width of the register micro-kernel: `MR × NR` accumulators live in
@@ -96,14 +156,23 @@ pub fn gemm_nn<F>(
 /// `MR·NR` multiply-adds per `NR`-wide `B` load with no accumulator traffic.
 pub const NR: usize = 8;
 
+/// Serial core over the columns `out` covers (all `m` rows of `a`).
 // analysis: hot_path
-fn gemm_nn_serial<F>(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32], epi: &F)
-where
+fn gemm_nn_serial<F>(
+    a: &[f32],
+    m: usize,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut ColsMut<'_>,
+    epi: &F,
+) where
     F: Fn(usize, f32) -> f32,
 {
+    let cols = out.cols();
     // Register-resident micro-kernel over full NR-wide column panels…
-    let mut j = 0;
-    while j + NR <= n {
+    let mut j = cols.start;
+    while j + NR <= cols.end {
         let mut i = 0;
         while i + MR <= m {
             micro_4xnr(a, i, k, b, j, n, out, epi);
@@ -116,8 +185,8 @@ where
         j += NR;
     }
     // …and a cached-block path for the remaining (< NR) columns.
-    if j < n {
-        gemm_nn_col_tail(a, m, k, b, n, j, out, epi);
+    if j < cols.end {
+        gemm_nn_col_tail(a, m, k, b, n, j..cols.end, out, epi);
     }
 }
 
@@ -132,7 +201,7 @@ fn micro_4xnr<F>(
     b: &[f32],
     j: usize,
     n: usize,
-    out: &mut [f32],
+    out: &mut ColsMut<'_>,
     epi: &F,
 ) where
     F: Fn(usize, f32) -> f32,
@@ -160,7 +229,7 @@ fn micro_4xnr<F>(
         }
     }
     for (r, c) in [&c0, &c1, &c2, &c3].into_iter().enumerate() {
-        let orow = &mut out[(i + r) * n + j..(i + r) * n + j + NR];
+        let orow = out.span(i + r, j, NR);
         for (t, o) in orow.iter_mut().enumerate() {
             *o = epi(j + t, c[t]);
         }
@@ -177,7 +246,7 @@ fn micro_1xnr<F>(
     b: &[f32],
     j: usize,
     n: usize,
-    out: &mut [f32],
+    out: &mut ColsMut<'_>,
     epi: &F,
 ) where
     F: Fn(usize, f32) -> f32,
@@ -191,26 +260,26 @@ fn micro_1xnr<F>(
             c[t] += av * bv[t];
         }
     }
-    let orow = &mut out[i * n + j..i * n + j + NR];
+    let orow = out.span(i, j, NR);
     for (t, o) in orow.iter_mut().enumerate() {
         *o = epi(j + t, c[t]);
     }
 }
 
-/// Stack-accumulator fallback for the final `< NR` columns.
+/// Stack-accumulator fallback for the final `< NR` columns `cols`.
 fn gemm_nn_col_tail<F>(
     a: &[f32],
     m: usize,
     k: usize,
     b: &[f32],
     n: usize,
-    j0: usize,
-    out: &mut [f32],
+    cols: Range<usize>,
+    out: &mut ColsMut<'_>,
     epi: &F,
 ) where
     F: Fn(usize, f32) -> f32,
 {
-    let nb = n - j0;
+    let (j0, nb) = (cols.start, cols.len());
     debug_assert!(nb < NR);
     for i in 0..m {
         let mut acc = [0.0f32; NR];
@@ -221,7 +290,7 @@ fn gemm_nn_col_tail<F>(
                 acc[t] += av * bv;
             }
         }
-        let orow = &mut out[i * n + j0..i * n + j0 + nb];
+        let orow = out.span(i, j0, nb);
         for (t, o) in orow.iter_mut().enumerate() {
             *o = epi(j0 + t, acc[t]);
         }
@@ -230,48 +299,19 @@ fn gemm_nn_col_tail<F>(
 
 /// `C = A·Bᵀ` with a fused per-element epilogue: `out[i][j] = epi(j, Σ_l A[i][l]·B[j][l])`.
 ///
-/// `a` is `m×k`, `b` is `n×k`, `out` is `m×n`, all row-major.
+/// `a` is `m×k`, `b` is `n×k`, `out` is `m×n`, all row-major. Serial: the
+/// training path never runs it (see [`crate::simd::gemm_nt`]).
 ///
 /// # Panics
 /// Panics when the slice lengths do not match the dimensions.
 // analysis: hot_path
-pub fn gemm_nt<F>(
-    threads: usize,
-    a: &[f32],
-    m: usize,
-    k: usize,
-    b: &[f32],
-    n: usize,
-    out: &mut [f32],
-    epi: F,
-) where
-    F: Fn(usize, f32) -> f32 + Sync,
+pub fn gemm_nt<F>(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32], epi: F)
+where
+    F: Fn(usize, f32) -> f32,
 {
     assert_eq!(a.len(), m * k, "gemm_nt: A length");
     assert_eq!(b.len(), n * k, "gemm_nt: B length");
     assert_eq!(out.len(), m * n, "gemm_nt: C length");
-    if threads <= 1 || m < 2 || m * n * k < PAR_MIN_MADDS {
-        gemm_nt_serial(a, m, k, b, n, out, &epi);
-        return;
-    }
-    let rows_per = chunk_rows(m, threads);
-    let epi = &epi;
-    crossbeam::scope(|scope| {
-        for (a_chunk, out_chunk) in a.chunks(rows_per * k).zip(out.chunks_mut(rows_per * n)) {
-            scope.spawn(move |_| {
-                gemm_nt_serial(a_chunk, a_chunk.len() / k, k, b, n, out_chunk, epi);
-            });
-        }
-    })
-    // analysis: allow(panic, reason = "re-raises a worker thread's panic; a panicking GEMM worker is a kernel bug, not a recoverable state")
-    .expect("gemm_nt worker panicked");
-}
-
-// analysis: hot_path
-fn gemm_nt_serial<F>(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32], epi: &F)
-where
-    F: Fn(usize, f32) -> f32,
-{
     const TILE: usize = 4;
     let mut i = 0;
     while i < m {
@@ -315,13 +355,14 @@ where
 /// read-modify-write traffic over `C` drops 4×; the per-element addition
 /// order stays ascending in `r`. With `accumulate = false` the first
 /// reduction block overwrites `C`, saving the zeroing pass a caller would
-/// otherwise need (values are identical to zero-then-accumulate).
+/// otherwise need (values are identical to zero-then-accumulate). With a
+/// pool, the output rows are split across it when the work is large enough.
 ///
 /// # Panics
 /// Panics when the slice lengths do not match the dimensions.
 // analysis: hot_path
 pub fn gemm_tn(
-    threads: usize,
+    pool: Option<&mut KernelPool>,
     a: &[f32],
     m: usize,
     k: usize,
@@ -333,22 +374,9 @@ pub fn gemm_tn(
     assert_eq!(a.len(), m * k, "gemm_tn: A length");
     assert_eq!(b.len(), m * n, "gemm_tn: B length");
     assert_eq!(out.len(), k * n, "gemm_tn: C length");
-    if threads <= 1 || k < 2 || m * n * k < PAR_MIN_MADDS {
-        gemm_tn_serial(a, m, k, 0, k, b, n, out, accumulate);
-        return;
-    }
-    let rows_per = chunk_rows(k, threads);
-    crossbeam::scope(|scope| {
-        for (chunk_idx, out_chunk) in out.chunks_mut(rows_per * n).enumerate() {
-            let i0 = chunk_idx * rows_per;
-            let i1 = i0 + out_chunk.len() / n;
-            scope.spawn(move |_| {
-                gemm_tn_serial(a, m, k, i0, i1, b, n, out_chunk, accumulate);
-            });
-        }
-    })
-    // analysis: allow(panic, reason = "re-raises a worker thread's panic; a panicking GEMM worker is a kernel bug, not a recoverable state")
-    .expect("gemm_tn worker panicked");
+    par_gemm_tn(pool, m, k, n, out, |rows, out| {
+        gemm_tn_serial(a, m, k, rows.start, rows.end, b, n, out, accumulate)
+    });
 }
 
 /// Serial core over the output-row range `[i0, i1)`; `out` holds exactly
@@ -503,7 +531,7 @@ mod tests {
             let a = seq(m * k, 0.25);
             let b = seq(k * n, 0.5);
             let mut out = vec![0.0f32; m * n];
-            gemm_nn(1, &a, m, k, &b, n, &mut out, |_, acc| acc);
+            gemm_nn(None, &a, m, k, &b, n, &mut out, |_, acc| acc);
             assert_eq!(out, naive_nn(&a, m, k, &b, n), "shape {m}x{k}x{n}");
         }
     }
@@ -514,8 +542,8 @@ mod tests {
         let b = seq(3 * 4, 1.0);
         let mut plain = vec![0.0f32; 2 * 4];
         let mut biased = vec![0.0f32; 2 * 4];
-        gemm_nn(1, &a, 2, 3, &b, 4, &mut plain, |_, acc| acc);
-        gemm_nn(1, &a, 2, 3, &b, 4, &mut biased, |j, acc| acc + j as f32);
+        gemm_nn(None, &a, 2, 3, &b, 4, &mut plain, |_, acc| acc);
+        gemm_nn(None, &a, 2, 3, &b, 4, &mut biased, |j, acc| acc + j as f32);
         for i in 0..2 {
             for j in 0..4 {
                 assert_eq!(biased[i * 4 + j], plain[i * 4 + j] + j as f32);
@@ -536,7 +564,7 @@ mod tests {
                 }
             }
             let mut out = vec![0.0f32; m * n];
-            gemm_nt(1, &a, m, k, &b, n, &mut out, |_, acc| acc);
+            gemm_nt(&a, m, k, &b, n, &mut out, |_, acc| acc);
             let reference = naive_nn(&a, m, k, &bt, n);
             for (x, y) in out.iter().zip(&reference) {
                 assert!((x - y).abs() < 1e-3, "{x} vs {y}");
@@ -558,16 +586,16 @@ mod tests {
             let reference = naive_nn(&at, k, m, &b, n);
             // Accumulate mode adds onto the existing values…
             let mut acc = vec![1.0f32; k * n];
-            gemm_tn(1, &a, m, k, &b, n, &mut acc, true);
+            gemm_tn(None, &a, m, k, &b, n, &mut acc, true);
             for (x, y) in acc.iter().zip(&reference) {
                 assert!((x - 1.0 - y).abs() < 1e-3, "{x} vs {y}");
             }
             // …overwrite mode ignores them and equals zero-then-accumulate
             // bit for bit.
             let mut zeroed = vec![0.0f32; k * n];
-            gemm_tn(1, &a, m, k, &b, n, &mut zeroed, true);
+            gemm_tn(None, &a, m, k, &b, n, &mut zeroed, true);
             let mut overwritten = vec![f32::NAN; k * n];
-            gemm_tn(1, &a, m, k, &b, n, &mut overwritten, false);
+            gemm_tn(None, &a, m, k, &b, n, &mut overwritten, false);
             assert_eq!(overwritten, zeroed, "shape {m}x{k}x{n}");
         }
     }
@@ -575,11 +603,11 @@ mod tests {
     #[test]
     fn gemm_tn_overwrite_zeroes_on_empty_reduction() {
         let mut out = vec![f32::NAN; 6];
-        gemm_tn(1, &[], 0, 2, &[], 3, &mut out, false);
+        gemm_tn(None, &[], 0, 2, &[], 3, &mut out, false);
         assert_eq!(out, vec![0.0; 6]);
         // Accumulate mode with no rows leaves the accumulator untouched.
         let mut acc = vec![1.5f32; 6];
-        gemm_tn(1, &[], 0, 2, &[], 3, &mut acc, true);
+        gemm_tn(None, &[], 0, 2, &[], 3, &mut acc, true);
         assert_eq!(acc, vec![1.5; 6]);
     }
 
@@ -592,29 +620,29 @@ mod tests {
 
     #[test]
     fn parallel_dispatch_is_bit_identical_to_serial() {
-        // Shapes above the parallel threshold so the threaded path really runs.
-        let (m, k, n) = (64, 64, 300);
-        let a = seq(m * k, 0.03);
-        let b = seq(k * n, 0.02);
-        let mut serial = vec![0.0f32; m * n];
-        let mut par = vec![0.0f32; m * n];
-        gemm_nn(1, &a, m, k, &b, n, &mut serial, |_, acc| acc);
-        gemm_nn(3, &a, m, k, &b, n, &mut par, |_, acc| acc);
-        assert_eq!(serial, par);
-
-        let bt = seq(n * k, 0.02);
-        let mut serial_nt = vec![0.0f32; m * n];
-        let mut par_nt = vec![0.0f32; m * n];
-        gemm_nt(1, &a, m, k, &bt, n, &mut serial_nt, |_, acc| acc);
-        gemm_nt(4, &a, m, k, &bt, n, &mut par_nt, |_, acc| acc);
-        assert_eq!(serial_nt, par_nt);
-
-        let big_b = seq(m * n, 0.01);
-        let mut serial_tn = vec![0.5f32; k * n];
-        let mut par_tn = vec![0.5f32; k * n];
-        gemm_tn(1, &a, m, k, &big_b, n, &mut serial_tn, true);
-        gemm_tn(2, &a, m, k, &big_b, n, &mut par_tn, true);
-        assert_eq!(serial_tn, par_tn);
+        // Shapes above the parallel threshold so the pooled path really runs:
+        // (64, 64, 300) splits gemm_nn by columns (m < n) and (320, 64, 40)
+        // by rows; gemm_tn always splits by output rows.
+        for (m, k, n) in [(64, 64, 300), (320, 64, 40)] {
+            let a = seq(m * k, 0.03);
+            let b = seq(k * n, 0.02);
+            let mut serial = vec![0.0f32; m * n];
+            gemm_nn(None, &a, m, k, &b, n, &mut serial, |j, acc| acc + j as f32);
+            let big_b = seq(m * n, 0.01);
+            let mut serial_tn = vec![0.5f32; k * n];
+            gemm_tn(None, &a, m, k, &big_b, n, &mut serial_tn, true);
+            for threads in [2, 3] {
+                let mut pool = KernelPool::new(threads);
+                let mut par = vec![0.0f32; m * n];
+                gemm_nn(Some(&mut pool), &a, m, k, &b, n, &mut par, |j, acc| {
+                    acc + j as f32
+                });
+                assert_eq!(serial, par, "gemm_nn {m}x{k}x{n}, {threads} threads");
+                let mut par_tn = vec![0.5f32; k * n];
+                gemm_tn(Some(&mut pool), &a, m, k, &big_b, n, &mut par_tn, true);
+                assert_eq!(serial_tn, par_tn, "gemm_tn {m}x{k}x{n}, {threads} threads");
+            }
+        }
     }
 
     #[test]
@@ -642,6 +670,6 @@ mod tests {
     #[should_panic(expected = "gemm_nn: A length")]
     fn gemm_nn_rejects_bad_lengths() {
         let mut out = vec![0.0f32; 4];
-        gemm_nn(1, &[0.0; 3], 2, 2, &[0.0; 4], 2, &mut out, |_, acc| acc);
+        gemm_nn(None, &[0.0; 3], 2, 2, &[0.0; 4], 2, &mut out, |_, acc| acc);
     }
 }

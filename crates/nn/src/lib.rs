@@ -12,8 +12,9 @@
 //!   (see [`kernels`]) that write into reused buffers.
 //! * [`Workspace`] — the preallocated forward/backward buffers behind
 //!   [`Mlp::forward_ws`] / [`Mlp::backward_ws`]: zero heap allocations per
-//!   training batch in steady state, with optional row-parallel GEMM that is
-//!   bit-identical for every thread count.
+//!   training batch in steady state, with an optional persistent
+//!   [`KernelPool`] that splits the large GEMMs and the Adam step, bit-identical
+//!   for every thread count.
 //! * [`Mlp`] — a multilayer perceptron with ReLU/Tanh/Identity activations,
 //!   seeded initialisation, forward/backward passes and flattened parameter and
 //!   gradient views (convenient for optimizers and all-reduce).
@@ -40,6 +41,7 @@ pub mod matrix;
 pub mod mlp;
 pub mod normalize;
 pub mod optim;
+mod pool;
 pub mod schedule;
 pub mod serialize;
 pub mod simd;
@@ -53,6 +55,7 @@ pub use matrix::Matrix;
 pub use mlp::{Activation, Mlp, MlpConfig};
 pub use normalize::{InputNormalizer, OutputNormalizer};
 pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
+pub use pool::KernelPool;
 pub use schedule::{ConstantLr, LrSchedule, SampleBasedHalving, StepHalving};
 pub use serialize::{load_mlp, save_mlp, ModelCheckpoint};
 pub use simd::{KernelIsa, ResolvedIsa};

@@ -206,7 +206,7 @@ impl Matrix {
         assert_eq!(out.rows, self.rows, "matmul_into output rows");
         assert_eq!(out.cols, other.cols, "matmul_into output cols");
         kernels::gemm_nn(
-            1,
+            None,
             &self.data,
             self.rows,
             self.cols,
@@ -230,7 +230,6 @@ impl Matrix {
         assert_eq!(out.rows, self.rows, "matmul_transpose_into output rows");
         assert_eq!(out.cols, other.rows, "matmul_transpose_into output cols");
         kernels::gemm_nt(
-            1,
             &self.data,
             self.rows,
             self.cols,
@@ -258,7 +257,7 @@ impl Matrix {
             "transpose_matmul_acc_into output cols"
         );
         kernels::gemm_tn(
-            1,
+            None,
             &self.data,
             self.rows,
             self.cols,

@@ -8,6 +8,7 @@
 
 use crate::init::{InitScheme, WeightInit};
 use crate::matrix::Matrix;
+use crate::pool::KernelPool;
 use crate::simd::{self, Epilogue, ResolvedIsa};
 use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
@@ -165,12 +166,19 @@ impl DenseLayer {
     /// Allocation-free fused forward: `out = act(input · W + b)` in one
     /// blocked-GEMM pass (bias-add and activation run in the kernel epilogue
     /// while the output tile is hot). `out` must be `batch × fan_out`.
-    /// Dispatches on `isa` (bit-identical across every resolved ISA).
-    pub fn forward_into(&self, input: &Matrix, out: &mut Matrix, threads: usize, isa: ResolvedIsa) {
+    /// Dispatches on `isa` and splits over `pool` (bit-identical across
+    /// every resolved ISA and pool size).
+    pub fn forward_into(
+        &self,
+        input: &Matrix,
+        out: &mut Matrix,
+        pool: Option<&mut KernelPool>,
+        isa: ResolvedIsa,
+    ) {
         assert_eq!(input.cols(), self.fan_in(), "layer input width");
         simd::gemm_nn(
             isa,
-            threads,
+            pool,
             input.data(),
             input.rows(),
             self.fan_in(),
@@ -385,14 +393,14 @@ impl Mlp {
         assert_eq!(input.cols(), self.input_size(), "input width mismatch");
         ws.prepare(input.rows());
         ws.input.data_mut().copy_from_slice(input.data());
-        let threads = ws.threads();
         let isa = ws.isa();
         for (l, layer) in self.layers.iter().enumerate() {
+            let pool = ws.pool.as_mut();
             if l == 0 {
-                layer.forward_into(&ws.input, &mut ws.acts[0], threads, isa);
+                layer.forward_into(&ws.input, &mut ws.acts[0], pool, isa);
             } else {
                 let (prev, rest) = ws.acts.split_at_mut(l);
-                layer.forward_into(&prev[l - 1], &mut rest[0], threads, isa);
+                layer.forward_into(&prev[l - 1], &mut rest[0], pool, isa);
             }
         }
         ws.output()
@@ -423,7 +431,6 @@ impl Mlp {
             ws.layer_sizes, self.config.layer_sizes,
             "workspace architecture mismatch"
         );
-        let threads = ws.threads();
         let isa = ws.isa();
         let rows = ws.input.rows();
         for l in (0..self.layers.len()).rev() {
@@ -446,7 +453,7 @@ impl Mlp {
             } else {
                 simd::gemm_tn(
                     isa,
-                    threads,
+                    ws.pool.as_mut(),
                     input.data(),
                     rows,
                     input.cols(),
@@ -478,7 +485,7 @@ impl Mlp {
                 let git = &mut ws.scratch_o[..fan_in * rows];
                 simd::gemm_nn(
                     isa,
-                    threads,
+                    ws.pool.as_mut(),
                     layer.weights.data(),
                     fan_in,
                     fan_out,
@@ -495,7 +502,7 @@ impl Mlp {
                 simd::transpose(isa, layer.weights.data(), fan_in, fan_out, wt.data_mut());
                 simd::gemm_nn(
                     isa,
-                    threads,
+                    ws.pool.as_mut(),
                     grad_l.data(),
                     rows,
                     fan_out,
@@ -581,6 +588,25 @@ impl Mlp {
         for layer in &mut self.layers {
             f(layer.weights.data_mut());
             f(&mut layer.biases);
+        }
+    }
+
+    /// Visits every parameter slice mutably together with its gradient, in
+    /// flat order (per layer: weights, then biases). Lets an optimizer step
+    /// on the model's own gradients without flattening them first.
+    ///
+    /// # Panics
+    /// Panics when a layer has no weight gradient yet, i.e. before the first
+    /// backward pass.
+    pub fn for_each_param_grad_mut(&mut self, mut f: impl FnMut(&mut [f32], &[f32])) {
+        for layer in &mut self.layers {
+            let grad_weights = layer
+                .grad_weights
+                .as_ref()
+                // analysis: allow(panic, reason = "documented contract: stepping on the model's own gradients requires a prior backward pass; see the `# Panics` section")
+                .expect("no weight gradient yet: run a backward pass first");
+            f(layer.weights.data_mut(), grad_weights.data());
+            f(&mut layer.biases, &layer.grad_biases);
         }
     }
 

@@ -4,6 +4,7 @@
 //! momentum is kept as a baseline for ablations.
 
 use crate::mlp::Mlp;
+use crate::pool::KernelPool;
 use crate::simd::{self, KernelIsa};
 use serde::{Deserialize, Serialize};
 
@@ -87,6 +88,63 @@ impl Adam {
     pub fn config(&self) -> &AdamConfig {
         &self.config
     }
+
+    /// Applies one update step from the model's own gradients, with no
+    /// flattened copy: the single-rank training step, where the all-reduce
+    /// would return the gradients unchanged. Large parameter slices split
+    /// across `pool` ([`simd::adam_update_pooled`]). Bit-identical to
+    /// [`Optimizer::step`] on [`Mlp::grads_flat`].
+    ///
+    /// # Panics
+    /// Panics when the model's parameter count differs from the optimizer
+    /// state, or before the model's first backward pass.
+    pub fn step_in_place(
+        &mut self,
+        model: &mut Mlp,
+        mut pool: Option<&mut KernelPool>,
+        learning_rate: f32,
+    ) {
+        assert_eq!(
+            model.param_count(),
+            self.first_moment.len(),
+            "model size does not match optimizer state"
+        );
+        let step = self.next_step(learning_rate);
+        let isa = self.isa.resolve();
+        let first = &mut self.first_moment;
+        let second = &mut self.second_moment;
+        let mut offset = 0usize;
+        model.for_each_param_grad_mut(|params, grads| {
+            let range = offset..offset + params.len();
+            simd::adam_update_pooled(
+                isa,
+                pool.as_deref_mut(),
+                params,
+                grads,
+                &mut first[range.clone()],
+                &mut second[range],
+                step,
+            );
+            offset += params.len();
+        });
+    }
+
+    /// Counts one step and returns its loop-invariant inputs.
+    fn next_step(&mut self, learning_rate: f32) -> simd::AdamStep {
+        self.steps += 1;
+        let t = self.steps as f32;
+        let b1 = self.config.beta1;
+        let b2 = self.config.beta2;
+        simd::AdamStep {
+            beta1: b1,
+            beta2: b2,
+            bias1: 1.0 - b1.powf(t),
+            bias2: 1.0 - b2.powf(t),
+            learning_rate,
+            epsilon: self.config.epsilon,
+            decay: learning_rate * self.config.weight_decay,
+        }
+    }
 }
 
 impl Optimizer for Adam {
@@ -101,19 +159,7 @@ impl Optimizer for Adam {
             model.param_count(),
             "gradient length does not match the model"
         );
-        self.steps += 1;
-        let t = self.steps as f32;
-        let b1 = self.config.beta1;
-        let b2 = self.config.beta2;
-        let step = simd::AdamStep {
-            beta1: b1,
-            beta2: b2,
-            bias1: 1.0 - b1.powf(t),
-            bias2: 1.0 - b2.powf(t),
-            learning_rate,
-            epsilon: self.config.epsilon,
-            decay: learning_rate * self.config.weight_decay,
-        };
+        let step = self.next_step(learning_rate);
         let isa = self.isa.resolve();
         let first = &mut self.first_moment;
         let second = &mut self.second_moment;
@@ -276,6 +322,38 @@ mod tests {
         );
         // Untouched parameters keep their value.
         assert_eq!(before[2], after[2]);
+    }
+
+    #[test]
+    fn step_in_place_matches_the_flattened_step() {
+        let inputs = Matrix::from_rows(&[vec![0.3, -1.0], vec![2.0, 0.5]]);
+        let targets = Matrix::from_rows(&[vec![1.0], vec![-0.25]]);
+        let mut flat = model();
+        let mut in_place = model();
+        let mut flat_opt = Adam::new(AdamConfig::default(), flat.param_count());
+        let mut in_place_opt = Adam::new(AdamConfig::default(), in_place.param_count());
+        let mut pool = KernelPool::new(2);
+        for _ in 0..5 {
+            for m in [&mut flat, &mut in_place] {
+                let pred = m.forward(&inputs);
+                let (_, grad) = MseLoss.evaluate(&pred, &targets);
+                m.zero_grads();
+                m.backward(&grad);
+            }
+            let grads = flat.grads_flat();
+            flat_opt.step(&mut flat, &grads, 0.01);
+            in_place_opt.step_in_place(&mut in_place, Some(&mut pool), 0.01);
+        }
+        assert_eq!(flat.params_flat(), in_place.params_flat());
+        assert_eq!(in_place_opt.steps_taken(), 5);
+    }
+
+    #[test]
+    #[should_panic(expected = "run a backward pass first")]
+    fn step_in_place_needs_gradients() {
+        let mut m = model();
+        let mut opt = Adam::new(AdamConfig::default(), m.param_count());
+        opt.step_in_place(&mut m, None, 1e-3);
     }
 
     #[test]

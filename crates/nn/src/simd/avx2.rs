@@ -15,6 +15,7 @@
 
 use super::{AdamStep, Epilogue};
 use crate::mlp::Activation;
+use crate::pool::ColsMut;
 use core::arch::x86_64::*;
 
 /// 8 f32 lanes per __m256 — equal to the scalar kernels' column tile
@@ -49,8 +50,9 @@ macro_rules! row_block {
     };
 }
 
-/// `C = A·B` with fused epilogue; serial core (row-parallelism happens in the
-/// dispatch layer). Bit-identical to the scalar blocked kernel.
+/// `C = A·B` with fused epilogue over the columns `out` covers; serial core
+/// (the dispatch layer splits the output across a pool). Bit-identical to
+/// the scalar blocked kernel.
 #[target_feature(enable = "avx2", enable = "fma")]
 pub(super) fn gemm_nn_serial(
     a: &[f32],
@@ -58,14 +60,15 @@ pub(super) fn gemm_nn_serial(
     k: usize,
     b: &[f32],
     n: usize,
-    out: &mut [f32],
+    out: &mut ColsMut<'_>,
     epi: Epilogue<'_>,
 ) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    let mut j = 0;
-    while j + LANES <= n {
+    let cols = out.cols();
+    debug_assert!(cols.end <= n);
+    let mut j = cols.start;
+    while j + LANES <= cols.end {
         let mut i = 0;
         while i < m {
             let r = (m - i).min(RMAX);
@@ -74,16 +77,19 @@ pub(super) fn gemm_nn_serial(
         }
         j += LANES;
     }
-    if j < n {
-        // Vectorised masked column tail — the trailing `n % 8` columns run
+    if j < cols.end {
+        // Vectorised masked column tail — the trailing `< 8` columns run
         // through the same micro-kernel with inactive lanes masked off, so
         // ragged widths never fall back to a scalar re-stream of A.
-        let nb = n - j;
+        let nb = cols.end - j;
         let mask = tail_mask(nb);
         let mut i = 0;
         while i < m {
             let r = (m - i).min(RMAX);
-            row_block!(r, micro_rx8_masked::<_>(a, i, k, b, j, n, mask, out, &epi));
+            row_block!(
+                r,
+                micro_rx8_masked::<_>(a, i, k, b, j, n, nb, mask, out, &epi)
+            );
             i += r;
         }
     }
@@ -104,7 +110,7 @@ fn micro_rx8<const R: usize>(
     b: &[f32],
     j: usize,
     n: usize,
-    out: &mut [f32],
+    out: &mut ColsMut<'_>,
     epi: &Epilogue<'_>,
 ) {
     let mut acc = [_mm256_setzero_ps(); R];
@@ -139,17 +145,16 @@ fn micro_rx8<const R: usize>(
         bp = unsafe { bp.add(n) };
     }
     for (rr, c) in acc.into_iter().enumerate() {
-        let orow = &mut out[(i + rr) * n + j..(i + rr) * n + j + LANES];
-        store_epilogue8(epi, j, c, orow);
+        store_epilogue8(epi, j, c, out.span(i + rr, j, LANES));
     }
 }
 
 /// Prefetch distance (in B rows) of the [`micro_rx8`] panel walk.
 const PF_DIST: usize = 16;
 
-/// Masked-tail variant of [`micro_rx8`] for the trailing `n % 8` columns:
+/// Masked-tail variant of [`micro_rx8`] for the trailing `nb < 8` columns:
 /// same accumulator layout and per-element order, but B/bias loads and the C
-/// store only touch the `n − j` live lanes via AVX2 masked moves.
+/// store only touch the `nb` live lanes via AVX2 masked moves.
 #[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
 #[allow(clippy::too_many_arguments)]
@@ -160,8 +165,9 @@ fn micro_rx8_masked<const R: usize>(
     b: &[f32],
     j: usize,
     n: usize,
+    nb: usize,
     mask: __m256i,
-    out: &mut [f32],
+    out: &mut ColsMut<'_>,
     epi: &Epilogue<'_>,
 ) {
     let mut acc = [_mm256_setzero_ps(); R];
@@ -175,10 +181,10 @@ fn micro_rx8_masked<const R: usize>(
     // `l` indexes the inner row slices, as in `micro_rx8`.
     #[allow(clippy::needless_range_loop)]
     for l in 0..k {
-        // SAFETY: bp = &b[l*n + j]; the mask covers exactly the n − j < 8
-        // trailing columns, so the masked load touches only
-        // b[l*n + j .. l*n + n] — masked-off lanes are never accessed and
-        // read as zero.
+        // SAFETY: bp = &b[l*n + j]; the mask covers exactly the nb < 8
+        // trailing columns with j + nb <= n, so the masked load touches only
+        // b[l*n + j .. l*n + j + nb] — masked-off lanes are never accessed
+        // and read as zero.
         let bv = unsafe { _mm256_maskload_ps(bp, mask) };
         for (rr, c) in acc.iter_mut().enumerate() {
             *c = _mm256_add_ps(*c, _mm256_mul_ps(_mm256_set1_ps(rows[rr][l]), bv));
@@ -188,8 +194,7 @@ fn micro_rx8_masked<const R: usize>(
         bp = unsafe { bp.add(n) };
     }
     for (rr, c) in acc.into_iter().enumerate() {
-        let orow = &mut out[(i + rr) * n + j..(i + rr) * n + n];
-        store_epilogue_masked(epi, j, mask, c, orow);
+        store_epilogue_masked(epi, j, mask, c, out.span(i + rr, j, nb));
     }
 }
 
@@ -270,8 +275,8 @@ fn store_epilogue_masked(
         }
         Epilogue::BiasAct { biases, activation } => {
             // SAFETY: the dispatch layer asserted biases.len() == n and the
-            // mask covers exactly the n − j live lanes; masked-off lanes are
-            // never accessed.
+            // mask covers exactly the orow.len() live lanes, with
+            // j + orow.len() <= n; masked-off lanes are never accessed.
             let bv = unsafe { _mm256_maskload_ps(biases.as_ptr().add(j), mask) };
             let pre = _mm256_add_ps(acc, bv);
             match activation {

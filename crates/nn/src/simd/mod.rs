@@ -47,6 +47,7 @@
 
 use crate::kernels;
 use crate::mlp::Activation;
+use crate::pool::{self, KernelPool};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::OnceLock;
 
@@ -253,33 +254,71 @@ pub fn detect() -> ResolvedIsa {
 /// opt-in and never set by the kernels themselves: the bit-identical
 /// cross-ISA contract holds *within* whatever FP environment the thread has,
 /// because every path performs the same per-element operation sequence and
-/// FTZ/DAZ is applied per operation, deterministically. Callers comparing
-/// runs must use the same setting on both sides, as `bench_throughput` does.
+/// FTZ/DAZ is applied per operation, deterministically. A
+/// [`crate::KernelPool`] helper runs each chunk under the dispatching
+/// thread's setting, so the contract also holds across thread counts.
+/// Callers comparing runs must use the same setting on both sides, as
+/// `bench_throughput` does.
 pub fn flush_denormals() {
+    #[cfg(target_arch = "x86_64")]
+    const FLUSH: u64 = (1 << 15) | (1 << 6); // MXCSR FTZ | DAZ
+    #[cfg(target_arch = "aarch64")]
+    const FLUSH: u64 = 1 << 24; // FPCR FZ
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    const FLUSH: u64 = 0;
+    set_fp_control(FpControl(fp_control().0 | FLUSH));
+}
+
+/// A value of the calling thread's floating-point control register (MXCSR
+/// on x86_64, FPCR on aarch64, nothing elsewhere). Only [`fp_control`]
+/// makes one, so [`set_fp_control`] only ever loads a value the hardware
+/// produced, or one with flush bits set on top of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FpControl(u64);
+
+/// Reads the calling thread's floating-point control register.
+pub(crate) fn fp_control() -> FpControl {
     #[cfg(target_arch = "x86_64")]
     {
         let mut csr: u32 = 0;
-        // SAFETY: stmxcsr/ldmxcsr write/read a caller-owned u32 and only
-        // toggle the FTZ (bit 15) and DAZ (bit 6) MXCSR bits, which alter
-        // denormal handling for this thread and nothing else; no memory
-        // other than `csr` is touched and the stack is not used.
-        unsafe {
-            core::arch::asm!("stmxcsr [{0}]", in(reg) &mut csr, options(nostack));
-            csr |= (1 << 15) | (1 << 6);
-            core::arch::asm!("ldmxcsr [{0}]", in(reg) &csr, options(nostack, readonly));
-        }
+        // SAFETY: stmxcsr stores the 32-bit MXCSR into the caller-owned
+        // `csr`; no other memory is touched and the stack is not used.
+        unsafe { core::arch::asm!("stmxcsr [{0}]", in(reg) &mut csr, options(nostack)) };
+        FpControl(u64::from(csr))
     }
     #[cfg(target_arch = "aarch64")]
     {
-        let mut fpcr: u64;
-        // SAFETY: reads and writes only the FPCR flush-to-zero bit (FZ,
-        // bit 24) for this thread; no memory is touched.
-        unsafe {
-            core::arch::asm!("mrs {0}, fpcr", out(reg) fpcr, options(nostack, nomem));
-            fpcr |= 1 << 24;
-            core::arch::asm!("msr fpcr, {0}", in(reg) fpcr, options(nostack, nomem));
-        }
+        let fpcr: u64;
+        // SAFETY: reads FPCR into a register; no memory is touched.
+        unsafe { core::arch::asm!("mrs {0}, fpcr", out(reg) fpcr, options(nostack, nomem)) };
+        FpControl(fpcr)
     }
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    FpControl(0)
+}
+
+/// Loads `value` into the calling thread's floating-point control register.
+pub(crate) fn set_fp_control(value: FpControl) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        // An `FpControl` is an MXCSR image from `fp_control`, possibly with
+        // FTZ/DAZ set, so it holds only 32 defined bits.
+        let csr = value.0 as u32;
+        // SAFETY: ldmxcsr reads the caller-owned `csr`; its reserved bits
+        // are clear because the value came from stmxcsr (FTZ and DAZ are
+        // defined bits), so the load cannot fault. It changes rounding and
+        // denormal handling for this thread only.
+        unsafe { core::arch::asm!("ldmxcsr [{0}]", in(reg) &csr, options(nostack, readonly)) };
+    }
+    #[cfg(target_arch = "aarch64")]
+    {
+        // SAFETY: writes FPCR with a value read from FPCR (possibly with FZ
+        // set), changing this thread's FP environment only; no memory is
+        // touched.
+        unsafe { core::arch::asm!("msr fpcr, {0}", in(reg) value.0, options(nostack, nomem)) };
+    }
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    let _ = value;
 }
 
 /// Fused GEMM epilogue, the enum counterpart of the closure
@@ -298,16 +337,11 @@ pub enum Epilogue<'a> {
     },
 }
 
-/// Work threshold under which the parallel vector paths stay serial —
-/// identical to the scalar kernels' threshold so the thread split (and hence
-/// bit-level behaviour of reductions split across rows) never diverges.
-#[cfg(target_arch = "x86_64")]
-const PAR_MIN_MADDS: usize = kernels::PAR_MIN_MADDS;
-
 /// `C = A·B` with a fused epilogue, dispatched on `isa`. Bit-identical to
-/// [`crate::kernels::gemm_nn`] for every ISA and thread count: the vector
-/// path widens across output columns only, keeping each element's ascending-k
-/// single-accumulator reduction and separate multiply/add rounding.
+/// [`crate::kernels::gemm_nn`] for every ISA and pool: the vector path
+/// widens across output columns only, keeping each element's ascending-k
+/// single-accumulator reduction and separate multiply/add rounding, and it
+/// splits the output over `pool` exactly as the scalar kernel does.
 ///
 /// # Panics
 /// Panics when slice lengths do not match the dimensions, or when a
@@ -316,7 +350,7 @@ const PAR_MIN_MADDS: usize = kernels::PAR_MIN_MADDS;
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_nn(
     isa: ResolvedIsa,
-    threads: usize,
+    pool: Option<&mut KernelPool>,
     a: &[f32],
     m: usize,
     k: usize,
@@ -338,41 +372,16 @@ pub fn gemm_nn(
                 avx2_available(),
                 "ResolvedIsa::Avx2 on a CPU without AVX2+FMA"
             );
-            if threads <= 1 || m < 2 || m * n * k < PAR_MIN_MADDS {
-                // SAFETY: AVX2+FMA availability asserted above; slice/dimension
-                // agreement asserted above.
-                unsafe { avx2::gemm_nn_serial(a, m, k, b, n, out, epi) };
-                return;
-            }
-            let rows_per = m.div_ceil(threads.max(1)).max(1);
-            crossbeam::scope(|scope| {
-                for (a_chunk, out_chunk) in a.chunks(rows_per * k).zip(out.chunks_mut(rows_per * n))
-                {
-                    scope.spawn(move |_| {
-                        // SAFETY: AVX2+FMA availability was asserted before
-                        // spawning; each chunk is a consistent row range of A
-                        // and C with the dimensions recomputed from it.
-                        unsafe {
-                            avx2::gemm_nn_serial(
-                                a_chunk,
-                                a_chunk.len() / k,
-                                k,
-                                b,
-                                n,
-                                out_chunk,
-                                epi,
-                            )
-                        };
-                    });
-                }
-            })
-            // analysis: allow(panic, reason = "re-raises a worker thread's panic; a panicking GEMM worker is a kernel bug, not a recoverable state")
-            .expect("gemm_nn worker panicked");
+            kernels::par_gemm_nn(pool, a, m, k, n, out, |a, m, out| {
+                // SAFETY: AVX2+FMA availability asserted above; `a` holds
+                // the `m` rows of A that `out` covers, and B is `k×n`.
+                unsafe { avx2::gemm_nn_serial(a, m, k, b, n, out, epi) }
+            });
         }
         _ => match epi {
-            Epilogue::Identity => kernels::gemm_nn(threads, a, m, k, b, n, out, |_, acc| acc),
+            Epilogue::Identity => kernels::gemm_nn(pool, a, m, k, b, n, out, |_, acc| acc),
             Epilogue::BiasAct { biases, activation } => {
-                kernels::gemm_nn(threads, a, m, k, b, n, out, |j, acc| {
+                kernels::gemm_nn(pool, a, m, k, b, n, out, |j, acc| {
                     activation.apply(acc + biases[j])
                 })
             }
@@ -391,7 +400,7 @@ pub fn gemm_nn(
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_tn(
     isa: ResolvedIsa,
-    threads: usize,
+    pool: Option<&mut KernelPool>,
     a: &[f32],
     m: usize,
     k: usize,
@@ -410,31 +419,15 @@ pub fn gemm_tn(
                 avx2_available(),
                 "ResolvedIsa::Avx2 on a CPU without AVX2+FMA"
             );
-            if threads <= 1 || k < 2 || m * n * k < PAR_MIN_MADDS {
+            kernels::par_gemm_tn(pool, m, k, n, out, |rows, out| {
                 // SAFETY: AVX2+FMA availability and dimension agreement
-                // asserted above.
-                unsafe { avx2::gemm_tn_serial(a, m, k, 0, k, b, n, out, accumulate) };
-                return;
-            }
-            let rows_per = k.div_ceil(threads.max(1)).max(1);
-            crossbeam::scope(|scope| {
-                for (chunk_idx, out_chunk) in out.chunks_mut(rows_per * n).enumerate() {
-                    let i0 = chunk_idx * rows_per;
-                    let i1 = i0 + out_chunk.len() / n;
-                    scope.spawn(move |_| {
-                        // SAFETY: AVX2+FMA availability was asserted before
-                        // spawning; [i0, i1) is the row range this chunk of C
-                        // covers.
-                        unsafe {
-                            avx2::gemm_tn_serial(a, m, k, i0, i1, b, n, out_chunk, accumulate)
-                        };
-                    });
+                // asserted above; `out` holds exactly the output rows `rows`.
+                unsafe {
+                    avx2::gemm_tn_serial(a, m, k, rows.start, rows.end, b, n, out, accumulate)
                 }
-            })
-            // analysis: allow(panic, reason = "re-raises a worker thread's panic; a panicking GEMM worker is a kernel bug, not a recoverable state")
-            .expect("gemm_tn worker panicked");
+            });
         }
-        _ => kernels::gemm_tn(threads, a, m, k, b, n, out, accumulate),
+        _ => kernels::gemm_tn(pool, a, m, k, b, n, out, accumulate),
     }
 }
 
@@ -445,14 +438,12 @@ pub fn gemm_tn(
 /// the buffer crate versions its seed streams. The scalar arm (and
 /// [`crate::Matrix::matmul_transpose_into`], which stays on it) keeps the v1
 /// contract; `tests/simd_equivalence.rs` pins both. The bit-identical hot
-/// training path never routes through this kernel.
+/// training path never routes through this kernel, so it runs serially.
 ///
 /// # Panics
 /// Panics when the slice lengths do not match the dimensions.
-#[allow(clippy::too_many_arguments)]
 pub fn gemm_nt(
     isa: ResolvedIsa,
-    threads: usize,
     a: &[f32],
     m: usize,
     k: usize,
@@ -470,30 +461,11 @@ pub fn gemm_nt(
                 avx2_available(),
                 "ResolvedIsa::Avx2 on a CPU without AVX2+FMA"
             );
-            if threads <= 1 || m < 2 || m * n * k < PAR_MIN_MADDS {
-                // SAFETY: AVX2+FMA availability and dimension agreement
-                // asserted above.
-                unsafe { avx2::gemm_nt_serial(a, m, k, b, n, out) };
-                return;
-            }
-            let rows_per = m.div_ceil(threads.max(1)).max(1);
-            crossbeam::scope(|scope| {
-                for (a_chunk, out_chunk) in a.chunks(rows_per * k).zip(out.chunks_mut(rows_per * n))
-                {
-                    scope.spawn(move |_| {
-                        // SAFETY: AVX2+FMA availability was asserted before
-                        // spawning; each chunk is a consistent row range of A
-                        // and C.
-                        unsafe {
-                            avx2::gemm_nt_serial(a_chunk, a_chunk.len() / k, k, b, n, out_chunk)
-                        };
-                    });
-                }
-            })
-            // analysis: allow(panic, reason = "re-raises a worker thread's panic; a panicking GEMM worker is a kernel bug, not a recoverable state")
-            .expect("gemm_nt worker panicked");
+            // SAFETY: AVX2+FMA availability and dimension agreement
+            // asserted above.
+            unsafe { avx2::gemm_nt_serial(a, m, k, b, n, out) };
         }
-        _ => kernels::gemm_nt(threads, a, m, k, b, n, out, |_, acc| acc),
+        _ => kernels::gemm_nt(a, m, k, b, n, out, |_, acc| acc),
     }
 }
 
@@ -658,6 +630,44 @@ pub fn adam_update(
         ResolvedIsa::Neon => neon::adam_update(params, grads, first, second, step),
         _ => adam_update_scalar(params, grads, first, second, step),
     }
+}
+
+/// Parameter-slice length from which [`adam_update_pooled`] splits the
+/// update across a pool. Measured like [`crate::kernels::PAR_MIN_MADDS`]
+/// (2-core x86_64 VM, AVX2, helper spinning): split in two, the update
+/// breaks even at 4096 elements and gains 1.35× at 8192, 1.63× at 16 384 and
+/// 1.75× at 32 768. The threshold sits at 32 768 so that the `fifo-ingest`
+/// surrogate's slices (at most 4096) and every bias slice stay serial, while
+/// the paper-scale weight slices (65 536 and 262 144) split.
+pub const ADAM_PAR_MIN: usize = 1 << 15;
+
+/// [`adam_update`] split over `pool` into 16-element-aligned chunks once the
+/// slice reaches [`ADAM_PAR_MIN`] elements. Every element is independent and
+/// each chunk starts on a vector-lane boundary, so the result is bit-identical
+/// to the serial update for every pool size.
+///
+/// # Panics
+/// Panics when the slice lengths differ.
+// analysis: hot_path
+pub fn adam_update_pooled(
+    isa: ResolvedIsa,
+    pool: Option<&mut KernelPool>,
+    params: &mut [f32],
+    grads: &[f32],
+    first: &mut [f32],
+    second: &mut [f32],
+    step: AdamStep,
+) {
+    assert_eq!(params.len(), grads.len(), "adam_update: gradient length");
+    let threads = pool.as_deref().map_or(1, KernelPool::threads);
+    let chunk = if params.len() < ADAM_PAR_MIN {
+        params.len().max(1)
+    } else {
+        pool::chunk_len(params.len(), threads, kernels::SPLIT_ALIGN)
+    };
+    pool::split_mut(pool, [params, first, second], chunk, |range, [p, m, v]| {
+        adam_update(isa, p, &grads[range], m, v, step)
+    });
 }
 
 /// Scalar reference for one Adam element — the exact op order (and hence

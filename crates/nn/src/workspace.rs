@@ -15,22 +15,26 @@
 //! than the configured capacity grows the buffers once and establishes a new
 //! steady state.
 //!
-//! The workspace also carries the GEMM thread count: `threads > 1` splits
-//! kernel output rows across the scoped thread pool (bit-identical results
-//! for every thread count — see [`crate::kernels`]).
+//! The workspace also owns the rank's kernel threads: `threads > 1` starts a
+//! persistent [`KernelPool`] of `threads − 1` helpers that the large GEMMs
+//! and the optimizer step split their output across (bit-identical results
+//! for every thread count — see [`crate::kernels`]). Dropping the workspace
+//! joins the helpers.
 
 use crate::matrix::Matrix;
 use crate::mlp::MlpConfig;
+use crate::pool::KernelPool;
 use crate::simd::{self, KernelIsa, ResolvedIsa};
 
 /// Preallocated buffers for one model's forward/backward passes.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Workspace {
     /// Layer widths this workspace was shaped for (input..output).
     pub(crate) layer_sizes: Vec<usize>,
     batch_capacity: usize,
-    threads: usize,
     isa: ResolvedIsa,
+    /// The kernel helper threads; `None` runs every kernel on the caller.
+    pub(crate) pool: Option<KernelPool>,
     /// Copy of the batch input (backward reads it after the caller's borrow ends).
     pub(crate) input: Matrix,
     /// Per-layer post-activation outputs; the last one is the network output.
@@ -68,8 +72,8 @@ impl Workspace {
         Self {
             layer_sizes: sizes.clone(),
             batch_capacity,
-            threads: 1,
             isa: simd::detect(),
+            pool: None,
             input: Matrix::zeros(batch_capacity, sizes[0]),
             acts: sizes[1..]
                 .iter()
@@ -90,17 +94,24 @@ impl Workspace {
         }
     }
 
-    /// Sets the GEMM thread count (1 = serial; results are identical for any
-    /// value). Values above 1 only pay off for large layers — the kernels fall
-    /// back to the serial path below a work threshold.
+    /// Sets the kernel thread count (1 = serial; results are identical for
+    /// any value). Above 1 it starts a [`KernelPool`] with `threads − 1`
+    /// helper threads, replacing any earlier one. Only large layers use it —
+    /// the kernels stay serial below a work threshold.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.pool = (threads > 1).then(|| KernelPool::new(threads));
         self
     }
 
-    /// The configured GEMM thread count.
+    /// The kernel thread count: the caller plus the pool's helpers.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.pool.as_ref().map_or(1, KernelPool::threads)
+    }
+
+    /// The kernel pool, for an optimizer step that splits over the same
+    /// threads as the GEMMs ([`crate::Adam::step_in_place`]).
+    pub fn pool(&mut self) -> Option<&mut KernelPool> {
+        self.pool.as_mut()
     }
 
     /// Resolves a kernel-ISA request against the hardware and pins this
@@ -216,6 +227,21 @@ mod tests {
     fn with_threads_clamps_to_one() {
         let ws = Workspace::for_config(&config(), 2).with_threads(0);
         assert_eq!(ws.threads(), 1);
+    }
+
+    #[test]
+    fn dropping_the_workspace_joins_its_kernel_threads() {
+        let mut ws = Workspace::for_config(&config(), 2).with_threads(3);
+        assert_eq!(ws.threads(), 3);
+        let pool = ws.pool().expect("three threads start a pool");
+        let alive = pool.liveness();
+        drop(ws);
+        // Every helper holds the pool's shared state until its thread exits.
+        assert_eq!(alive.strong_count(), 0);
+        // Going back to one thread drops (and joins) the pool as well.
+        let ws = Workspace::for_config(&config(), 2).with_threads(2);
+        let ws = ws.with_threads(1);
+        assert!(ws.pool.is_none());
     }
 
     #[test]

@@ -214,8 +214,8 @@ proptest! {
         prop_assert_eq!(blocked, a.transpose_matmul(&b));
     }
 
-    /// Row-parallel kernel dispatch is bit-identical to the serial kernels for
-    /// any thread count (the per-element reduction order never changes).
+    /// Pooled kernel dispatch is bit-identical to the serial kernels for any
+    /// thread count (the per-element reduction order never changes).
     #[test]
     fn parallel_kernels_are_bit_identical(threads in 2usize..5, seed in 0u64..100) {
         let (m, k, n) = (40, 40, 320);
@@ -227,8 +227,9 @@ proptest! {
             .collect();
         let mut serial = vec![0.0f32; m * n];
         let mut par = vec![0.0f32; m * n];
-        surrogate_nn::kernels::gemm_nn(1, &a, m, k, &b, n, &mut serial, |_, acc| acc);
-        surrogate_nn::kernels::gemm_nn(threads, &a, m, k, &b, n, &mut par, |_, acc| acc);
+        let mut pool = surrogate_nn::KernelPool::new(threads);
+        surrogate_nn::kernels::gemm_nn(None, &a, m, k, &b, n, &mut serial, |_, acc| acc);
+        surrogate_nn::kernels::gemm_nn(Some(&mut pool), &a, m, k, &b, n, &mut par, |_, acc| acc);
         prop_assert_eq!(&serial, &par);
     }
 

@@ -19,7 +19,7 @@
 use proptest::prelude::*;
 use surrogate_nn::kernels;
 use surrogate_nn::simd::{self, AdamStep, Epilogue, KernelIsa, ResolvedIsa};
-use surrogate_nn::Activation;
+use surrogate_nn::{Activation, KernelPool};
 
 /// The widest ISA the machine (or the `MELISSA_KERNEL_ISA` override) offers.
 fn vector_isa() -> ResolvedIsa {
@@ -48,9 +48,9 @@ proptest! {
     fn gemm_nn_identity_bit_identical(m in 1usize..14, k in 1usize..11, n in 1usize..21, seed in 0u64..1000) {
         let (a, b) = seeded_operands(m * k, k * n, seed);
         let mut reference = vec![0.0f32; m * n];
-        kernels::gemm_nn(1, &a, m, k, &b, n, &mut reference, |_, acc| acc);
+        kernels::gemm_nn(None, &a, m, k, &b, n, &mut reference, |_, acc| acc);
         let mut vectored = vec![0.0f32; m * n];
-        simd::gemm_nn(vector_isa(), 1, &a, m, k, &b, n, &mut vectored, Epilogue::Identity);
+        simd::gemm_nn(vector_isa(), None, &a, m, k, &b, n, &mut vectored, Epilogue::Identity);
         prop_assert_eq!(&reference, &vectored);
     }
 
@@ -67,13 +67,13 @@ proptest! {
         let (a, b) = seeded_operands(m * k, k * n, seed);
         let biases: Vec<f32> = (0..n).map(|j| (j as f32 - 2.0) * 0.25).collect();
         let mut reference = vec![0.0f32; m * n];
-        kernels::gemm_nn(1, &a, m, k, &b, n, &mut reference, |j, acc| {
+        kernels::gemm_nn(None, &a, m, k, &b, n, &mut reference, |j, acc| {
             activation.apply(acc + biases[j])
         });
         let mut vectored = vec![0.0f32; m * n];
         simd::gemm_nn(
             vector_isa(),
-            1,
+            None,
             &a,
             m,
             k,
@@ -92,9 +92,9 @@ proptest! {
         let (a, b) = seeded_operands(m * k, m * n, seed);
         let init: Vec<f32> = (0..k * n).map(|i| (i as f32 % 5.0) - 2.0).collect();
         let mut reference = init.clone();
-        kernels::gemm_tn(1, &a, m, k, &b, n, &mut reference, accumulate);
+        kernels::gemm_tn(None, &a, m, k, &b, n, &mut reference, accumulate);
         let mut vectored = init;
-        simd::gemm_tn(vector_isa(), 1, &a, m, k, &b, n, &mut vectored, accumulate);
+        simd::gemm_tn(vector_isa(), None, &a, m, k, &b, n, &mut vectored, accumulate);
         prop_assert_eq!(&reference, &vectored);
     }
 
@@ -238,7 +238,7 @@ proptest! {
     fn gemm_nt_v1_matches_naive_reduction(m in 1usize..14, k in 1usize..11, n in 1usize..21, seed in 0u64..1000) {
         let (a, b) = seeded_operands(m * k, n * k, seed);
         let mut v1 = vec![0.0f32; m * n];
-        simd::gemm_nt(ResolvedIsa::Scalar, 1, &a, m, k, &b, n, &mut v1);
+        simd::gemm_nt(ResolvedIsa::Scalar, &a, m, k, &b, n, &mut v1);
         for i in 0..m {
             for j in 0..n {
                 let mut acc = 0.0f32;
@@ -259,7 +259,7 @@ proptest! {
         let (a, b) = seeded_operands(m * k, n * k, seed);
         let isa = vector_isa();
         let mut out = vec![0.0f32; m * n];
-        simd::gemm_nt(isa, 1, &a, m, k, &b, n, &mut out);
+        simd::gemm_nt(isa, &a, m, k, &b, n, &mut out);
         for i in 0..m {
             for j in 0..n {
                 let expected = match isa {
@@ -333,11 +333,11 @@ fn forced_scalar_dispatch_uses_reference_kernels() {
     let (m, k, n) = (7, 9, 11);
     let (a, b) = seeded_operands(m * k, k * n, 42);
     let mut direct = vec![0.0f32; m * n];
-    kernels::gemm_nn(1, &a, m, k, &b, n, &mut direct, |_, acc| acc);
+    kernels::gemm_nn(None, &a, m, k, &b, n, &mut direct, |_, acc| acc);
     let mut dispatched = vec![0.0f32; m * n];
     simd::gemm_nn(
         KernelIsa::Scalar.resolve(),
-        1,
+        None,
         &a,
         m,
         k,
@@ -349,39 +349,124 @@ fn forced_scalar_dispatch_uses_reference_kernels() {
     assert_eq!(direct, dispatched);
 }
 
-/// Multi-threaded vector GEMMs split rows exactly like the scalar kernels
-/// (shared work threshold), so results stay bit-identical across thread
-/// counts on big-enough shapes to actually cross the parallel threshold.
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Pooled vector GEMMs split the output exactly like the scalar kernels
+/// (shared threshold and split choice), so results stay bit-identical across
+/// pool sizes. Every shape crosses the parallel threshold, on both sides of
+/// the split choice: `m < n` splits `gemm_nn` by 16-aligned output columns
+/// (ragged widths included), `m >= n` by output rows; `gemm_tn` always
+/// splits by output rows.
 #[test]
 fn parallel_vector_gemm_bit_identical_to_serial() {
-    let (m, k, n) = (96, 130, 150);
-    let (a, b) = seeded_operands(m * k, k * n, 7);
     let isa = vector_isa();
-    let mut serial = vec![0.0f32; m * n];
-    simd::gemm_nn(isa, 1, &a, m, k, &b, n, &mut serial, Epilogue::Identity);
-    for threads in [2, 3, 5] {
-        let mut parallel = vec![0.0f32; m * n];
-        simd::gemm_nn(
-            isa,
-            threads,
-            &a,
-            m,
-            k,
-            &b,
-            n,
-            &mut parallel,
-            Epilogue::Identity,
-        );
-        assert_eq!(serial, parallel, "threads={threads}");
+    for (m, k, n) in [
+        (10, 256, 1030),
+        (3, 140, 333),
+        (96, 130, 150),
+        (260, 200, 10),
+    ] {
+        assert!(m * k * n >= kernels::PAR_MIN_MADDS, "{m}x{k}x{n}");
+        let (a, b) = seeded_operands(m * k, k * n, 7);
+        let biases: Vec<f32> = (0..n).map(|j| (j % 7) as f32 * 0.25 - 0.75).collect();
+        let epi = Epilogue::BiasAct {
+            biases: &biases,
+            activation: Activation::ReLU,
+        };
+        let mut serial = vec![0.0f32; m * n];
+        simd::gemm_nn(isa, None, &a, m, k, &b, n, &mut serial, epi);
+        let (bt, _) = seeded_operands(m * n, 0, 9);
+        let mut tn_serial = vec![0.0f32; k * n];
+        simd::gemm_tn(isa, None, &a, m, k, &bt, n, &mut tn_serial, false);
+        for threads in [2, 3, 5] {
+            let mut pool = KernelPool::new(threads);
+            let mut parallel = vec![f32::NAN; m * n];
+            simd::gemm_nn(isa, Some(&mut pool), &a, m, k, &b, n, &mut parallel, epi);
+            assert_eq!(
+                bits(&serial),
+                bits(&parallel),
+                "gemm_nn {m}x{k}x{n}, {threads} threads"
+            );
+            let mut tn_parallel = vec![f32::NAN; k * n];
+            simd::gemm_tn(
+                isa,
+                Some(&mut pool),
+                &a,
+                m,
+                k,
+                &bt,
+                n,
+                &mut tn_parallel,
+                false,
+            );
+            assert_eq!(
+                bits(&tn_serial),
+                bits(&tn_parallel),
+                "gemm_tn {m}x{k}x{n}, {threads} threads"
+            );
+        }
     }
+}
 
-    let (bt, _) = seeded_operands(m * n, 0, 9);
-    let mut tn_serial = vec![0.0f32; k * n];
-    simd::gemm_tn(isa, 1, &a, m, k, &bt, n, &mut tn_serial, false);
-    for threads in [2, 4] {
-        let mut tn_parallel = vec![0.0f32; k * n];
-        simd::gemm_tn(isa, threads, &a, m, k, &bt, n, &mut tn_parallel, false);
-        assert_eq!(tn_serial, tn_parallel, "threads={threads}");
+/// The pooled Adam step is bit-identical to the serial `adam_update` for one
+/// to four chunks, on odd lengths above the split threshold, with −0.0,
+/// subnormals, ±inf and NaN among the parameters, gradients and moments.
+#[test]
+fn pooled_adam_bit_identical_to_serial() {
+    let isa = vector_isa();
+    let specials = [
+        -0.0f32,
+        f32::from_bits(1),
+        -f32::from_bits(0x007f_ffff),
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        f32::NAN,
+        f32::MIN_POSITIVE,
+    ];
+    let step = AdamStep {
+        beta1: 0.9,
+        beta2: 0.999,
+        bias1: 1.0 - 0.9f32.powf(3.0),
+        bias2: 1.0 - 0.999f32.powf(3.0),
+        learning_rate: 1e-3,
+        epsilon: 1e-8,
+        decay: 1e-4,
+    };
+    for len in [simd::ADAM_PAR_MIN + 1, 3 * simd::ADAM_PAR_MIN + 17] {
+        let (mut params0, mut grads) = seeded_operands(len, len, len as u64);
+        let (mut first0, second0) = seeded_operands(len, len, 3);
+        let mut second0: Vec<f32> = second0.iter().map(|v| v.abs()).collect();
+        for (i, at) in (0..len).step_by(997).enumerate() {
+            let special = specials[i % specials.len()];
+            params0[at] = special;
+            grads[(at + 331) % len] = special;
+            first0[(at + 662) % len] = special;
+            second0[(at + 1) % len] = special.abs();
+        }
+        let (mut p_ref, mut m_ref, mut v_ref) = (params0.clone(), first0.clone(), second0.clone());
+        simd::adam_update(isa, &mut p_ref, &grads, &mut m_ref, &mut v_ref, step);
+        for threads in 1..=4 {
+            let mut pool = KernelPool::new(threads);
+            let (mut p, mut m, mut v) = (params0.clone(), first0.clone(), second0.clone());
+            simd::adam_update_pooled(isa, Some(&mut pool), &mut p, &grads, &mut m, &mut v, step);
+            assert_eq!(
+                bits(&p_ref),
+                bits(&p),
+                "params, len {len}, {threads} chunks"
+            );
+            assert_eq!(
+                bits(&m_ref),
+                bits(&m),
+                "first moment, len {len}, {threads} chunks"
+            );
+            assert_eq!(
+                bits(&v_ref),
+                bits(&v),
+                "second moment, len {len}, {threads} chunks"
+            );
+        }
     }
 }
 
