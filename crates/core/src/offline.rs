@@ -22,6 +22,7 @@ use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
+use surrogate_nn::simd::FlushedDenormals;
 use surrogate_nn::{
     Adam, AdamConfig, Batch, GradientSynchronizer, Loss, LrSchedule, Mlp, MseLoss, Optimizer,
     SampleBasedHalving,
@@ -135,7 +136,12 @@ impl OfflineExperiment {
                 let outcomes = &outcomes;
                 let config = &self.config;
                 let epochs = self.epochs;
+                // One rank's epoch loop. Like `RankTrainer::run`, it trains
+                // with denormals flushed to zero for its whole body, so the
+                // offline and online paths share one numeric environment and
+                // Adam never stalls on denormal moments.
                 scope.spawn(move |_| {
+                    let _flushed = FlushedDenormals::enter();
                     let mut model = Mlp::new(mlp_config);
                     let mut optimizer = Adam::new(AdamConfig::default(), model.param_count())
                         .with_isa(config.training.kernel_isa);

@@ -33,6 +33,7 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use surrogate_nn::simd::FlushedDenormals;
 use surrogate_nn::{
     Adam, AdamConfig, Batch, GradientSynchronizer, Loss, LrSchedule, Mlp, MseLoss, Optimizer,
     Sample, SampleBasedHalving, Workspace,
@@ -187,7 +188,16 @@ impl RankTrainer {
     /// several ranks reuse one flattened-gradient vector for the all-reduce
     /// (a single rank steps on the model's own gradients), and the optimizer
     /// keeps its own update buffer.
+    ///
+    /// The whole loop, on the direct and the prefetch path alike, runs with
+    /// denormals flushed to zero ([`FlushedDenormals`]): forward, backward,
+    /// loss, optimizer, all-reduce and validation, and the kernel-pool
+    /// helpers, which adopt the calling thread's FP control. Adam's moments
+    /// on lanes whose gradient stays exactly zero would otherwise sit in the
+    /// denormal range and stall every step on microcode assists. The calling
+    /// thread's FP control value is restored on return, and on unwinding.
     pub fn run(self, start: Instant) -> RankOutcome {
+        let _flushed = FlushedDenormals::enter();
         if self.config.prefetch {
             self.run_prefetch(start)
         } else {

@@ -16,7 +16,7 @@
 //! memory no other chunk touches, and the kernels built on them split only
 //! over independent output elements, so results are bit-identical for every
 //! thread count. A helper runs each chunk under the dispatching thread's
-//! floating-point control register (see [`crate::simd::flush_denormals`]).
+//! floating-point control register (see [`crate::simd::FlushedDenormals`]).
 
 use crate::simd::{self, FpControl};
 use std::marker::PhantomData;
@@ -579,9 +579,7 @@ mod tests {
 
     #[test]
     fn helpers_run_under_the_callers_fp_control() {
-        // The test harness runs each test on its own thread, so flushing
-        // denormals here cannot leak into other tests.
-        simd::flush_denormals();
+        let _flushed = simd::FlushedDenormals::enter();
         let mut pool = KernelPool::new(2);
         let caller = thread::current().id();
         let helper_saw = AtomicBool::new(false);

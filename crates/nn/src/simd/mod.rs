@@ -41,6 +41,11 @@
 //!   (vector) are pinned by separate regressions and the hot training path
 //!   keeps using bit-identical kernels only.
 //!
+//! Both contracts hold within one floating-point environment. Training
+//! threads run with denormals flushed to zero ([`FlushedDenormals`]), so
+//! that is the environment in which training is bit-identical across ISAs
+//! and thread counts; the kernels themselves never change it.
+//!
 //! On `aarch64`, NEON currently accelerates the element-wise streams; the
 //! GEMM family falls back to the blocked scalar kernels there (explicit NEON
 //! micro-kernels are a recorded follow-up in `ROADMAP.md`).
@@ -49,6 +54,7 @@ use crate::kernels;
 use crate::mlp::Activation;
 use crate::pool::{self, KernelPool};
 use serde::{Deserialize, Serialize, Value};
+use std::marker::PhantomData;
 use std::sync::OnceLock;
 
 #[cfg(target_arch = "x86_64")]
@@ -240,44 +246,81 @@ pub fn detect() -> ResolvedIsa {
     })
 }
 
-/// Enables flush-to-zero / denormals-are-zero floating-point mode for the
-/// **calling thread**. No-op on architectures without a known control bit.
+/// The control-register bits that flush denormals: FTZ | DAZ in MXCSR on
+/// x86_64, FZ in FPCR on aarch64, none elsewhere.
+#[cfg(target_arch = "x86_64")]
+const FLUSH: u64 = (1 << 15) | (1 << 6);
+#[cfg(target_arch = "aarch64")]
+const FLUSH: u64 = 1 << 24;
+#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+const FLUSH: u64 = 0;
+
+/// Flush-to-zero / denormals-are-zero floating-point mode for the **calling
+/// thread**, for as long as the guard lives. Dropping the guard, on return
+/// or while unwinding from a panic, loads the exact control value the thread
+/// had before [`FlushedDenormals::enter`]; guards nest. On x86_64 that
+/// register also holds MXCSR's sticky exception flags, so flags raised
+/// inside the guard do not outlive it. No-op on architectures without a
+/// known control bit.
 ///
-/// Long training runs on slowly-varying data drive Adam's second moments
-/// exponentially toward zero (`v ← β₂·v + (1−β₂)·g²` with vanishing `g`),
-/// parking them in the denormal range where every multiply takes a microcode
-/// assist — a measured ~10× slowdown of the fused optimizer pass at steady
-/// state, on the scalar and vector paths alike. FTZ+DAZ removes the assists
-/// by flushing those denormals to zero.
+/// Training drives Adam's moments toward zero wherever a gradient stays
+/// exactly zero: a dead ReLU unit's first moment decays as `m ← 0.9·m`,
+/// reaches the denormal range after ~760 steps and stays there, because
+/// `0.9 × 4 ulp` rounds back to `4 ulp`. Every later step then takes a
+/// microcode assist on those lanes — a measured ~10× slowdown of the fused
+/// optimizer pass, on the scalar and vector paths alike. FTZ+DAZ flushes
+/// those denormals to zero and removes the assists.
 ///
-/// This intentionally changes numerics (denormals become zero), so it is
-/// opt-in and never set by the kernels themselves: the bit-identical
-/// cross-ISA contract holds *within* whatever FP environment the thread has,
-/// because every path performs the same per-element operation sequence and
-/// FTZ/DAZ is applied per operation, deterministically. A
+/// The kernels never touch the FP environment. Training threads do, scoped
+/// by this guard: `RankTrainer::run` and each offline rank thread of the
+/// `melissa` crate hold one for their whole body, and `bench_throughput`
+/// holds one while it measures. Flushing changes numerics (denormals become
+/// zero), and the bit-identity contract holds *within* the flushed
+/// environment: every ISA performs the same per-element operation sequence
+/// and FTZ/DAZ applies per operation, deterministically. A
 /// [`crate::KernelPool`] helper runs each chunk under the dispatching
-/// thread's setting, so the contract also holds across thread counts.
-/// Callers comparing runs must use the same setting on both sides, as
-/// `bench_throughput` does.
-pub fn flush_denormals() {
-    #[cfg(target_arch = "x86_64")]
-    const FLUSH: u64 = (1 << 15) | (1 << 6); // MXCSR FTZ | DAZ
-    #[cfg(target_arch = "aarch64")]
-    const FLUSH: u64 = 1 << 24; // FPCR FZ
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    const FLUSH: u64 = 0;
-    set_fp_control(FpControl(fp_control().0 | FLUSH));
+/// thread's control value, so the contract also holds across thread counts.
+/// Runs compared bit for bit must use the same environment on both sides.
+///
+/// The guard is `!Send`: it restores the register of the thread that
+/// entered it.
+#[must_use = "denormals are flushed only while the guard lives"]
+#[derive(Debug)]
+pub struct FlushedDenormals {
+    saved: FpControl,
+    _this_thread: PhantomData<*const ()>,
+}
+
+impl FlushedDenormals {
+    /// Saves the calling thread's FP control value and sets FTZ+DAZ (FZ on
+    /// aarch64) on top of it.
+    pub fn enter() -> Self {
+        let saved = fp_control();
+        set_fp_control(FpControl(saved.0 | FLUSH));
+        Self {
+            saved,
+            _this_thread: PhantomData,
+        }
+    }
+}
+
+impl Drop for FlushedDenormals {
+    fn drop(&mut self) {
+        set_fp_control(self.saved);
+    }
 }
 
 /// A value of the calling thread's floating-point control register (MXCSR
 /// on x86_64, FPCR on aarch64, nothing elsewhere). Only [`fp_control`]
-/// makes one, so [`set_fp_control`] only ever loads a value the hardware
-/// produced, or one with flush bits set on top of it.
+/// makes one, so the crate only ever loads a value the hardware produced,
+/// or one with flush bits set on top of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FpControl(u64);
+pub struct FpControl(u64);
 
-/// Reads the calling thread's floating-point control register.
-pub(crate) fn fp_control() -> FpControl {
+/// Reads the calling thread's floating-point control register, so a caller
+/// can check that a scoped change such as [`FlushedDenormals`] left it as
+/// found.
+pub fn fp_control() -> FpControl {
     #[cfg(target_arch = "x86_64")]
     {
         let mut csr: u32 = 0;
@@ -897,18 +940,74 @@ mod tests {
         assert!(detect().lane_width() >= 1);
     }
 
+    /// `1e-20 · 1e-20 = 1e-40`: two normal factors whose exact product is
+    /// a denormal.
+    fn small_product() -> f32 {
+        std::hint::black_box(1e-20f32) * std::hint::black_box(1e-20f32)
+    }
+
     #[test]
     fn flush_denormals_flushes_on_this_thread() {
-        // The test harness runs each test on its own thread, so toggling the
+        // The test harness runs each test on its own thread, so changing the
         // thread FP environment here cannot leak into other tests.
-        flush_denormals();
-        flush_denormals(); // idempotent
-        let denormal = std::hint::black_box(f32::from_bits(1));
-        let product = denormal * std::hint::black_box(2.0f32);
-        #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
-        assert_eq!(product, 0.0, "denormal input should flush to zero");
+        assert!(small_product().is_subnormal());
+        {
+            let _flushed = FlushedDenormals::enter();
+            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+            assert_eq!(small_product().to_bits(), 0, "the product should flush");
+            let denormal = std::hint::black_box(f32::from_bits(1));
+            #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+            assert_eq!(
+                (denormal * 2.0).to_bits(),
+                0,
+                "a denormal input should flush"
+            );
+        }
+        assert!(
+            small_product().is_subnormal(),
+            "the guard must end the flush"
+        );
+    }
+
+    #[test]
+    fn flushed_denormals_restores_the_exact_prior_value() {
+        // A prior value with a non-default rounding mode (toward zero), so a
+        // guard that merely cleared its flush bits would not restore it.
+        #[cfg(target_arch = "x86_64")]
+        const ROUND_TOWARD_ZERO: u64 = 3 << 13; // MXCSR RC
+        #[cfg(target_arch = "aarch64")]
+        const ROUND_TOWARD_ZERO: u64 = 3 << 22; // FPCR RMode
         #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-        let _ = product; // no control bit to assert on
+        const ROUND_TOWARD_ZERO: u64 = 0;
+        let default = fp_control();
+        let prior = FpControl(default.0 | ROUND_TOWARD_ZERO);
+        set_fp_control(prior);
+        assert_eq!(fp_control(), prior);
+
+        // Normal return.
+        drop(FlushedDenormals::enter());
+        assert_eq!(fp_control(), prior);
+
+        // Unwinding through the guard.
+        let unwound = std::panic::catch_unwind(|| {
+            let _flushed = FlushedDenormals::enter();
+            std::panic::resume_unwind(Box::new("unwinding through the guard"));
+        });
+        assert!(unwound.is_err());
+        assert_eq!(fp_control(), prior);
+
+        // Nested guards: the inner one restores the outer one's flushed
+        // value, the outer one the prior value.
+        {
+            let _outer = FlushedDenormals::enter();
+            let flushed = fp_control();
+            assert_eq!(flushed, FpControl(prior.0 | FLUSH));
+            drop(FlushedDenormals::enter());
+            assert_eq!(fp_control(), flushed);
+        }
+        assert_eq!(fp_control(), prior);
+
+        set_fp_control(default);
     }
 
     #[test]
