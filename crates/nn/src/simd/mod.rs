@@ -313,7 +313,8 @@ impl Drop for FlushedDenormals {
 /// A value of the calling thread's floating-point control register (MXCSR
 /// on x86_64, FPCR on aarch64, nothing elsewhere). Only [`fp_control`]
 /// makes one, so the crate only ever loads a value the hardware produced,
-/// or one with flush bits set on top of it.
+/// or one with defined control bits set on top of it (the flush bits; a
+/// unit test also sets the rounding mode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FpControl(u64);
 
@@ -345,19 +346,20 @@ pub(crate) fn set_fp_control(value: FpControl) {
     #[cfg(target_arch = "x86_64")]
     {
         // An `FpControl` is an MXCSR image from `fp_control`, possibly with
-        // FTZ/DAZ set, so it holds only 32 defined bits.
+        // defined control bits set, so it holds only 32 defined bits.
         let csr = value.0 as u32;
         // SAFETY: ldmxcsr reads the caller-owned `csr`; its reserved bits
-        // are clear because the value came from stmxcsr (FTZ and DAZ are
-        // defined bits), so the load cannot fault. It changes rounding and
+        // are clear because the value came from stmxcsr with only defined
+        // bits (FTZ, DAZ, rounding control) set on top, so the load cannot
+        // fault. It changes rounding and
         // denormal handling for this thread only.
         unsafe { core::arch::asm!("ldmxcsr [{0}]", in(reg) &csr, options(nostack, readonly)) };
     }
     #[cfg(target_arch = "aarch64")]
     {
         // SAFETY: writes FPCR with a value read from FPCR (possibly with FZ
-        // set), changing this thread's FP environment only; no memory is
-        // touched.
+        // or the rounding mode set), changing this thread's FP environment
+        // only; no memory is touched.
         unsafe { core::arch::asm!("msr fpcr, {0}", in(reg) value.0, options(nostack, nomem)) };
     }
     #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
